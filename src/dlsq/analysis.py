@@ -160,8 +160,8 @@ def process_error_bound(bi, t):
         lu = _log_factor(bi, k)
         log_s = lu + _log1pexp(log_s)
         log_p += lu
-    head = math.exp(log_p + math.log(bi.z0)) if bi.z0 > 0 else 0.0
-    return head + (1.0 + math.exp(log_s)) * bi.omega
+    head = _exp(log_p + math.log(bi.z0)) if bi.z0 > 0 else 0.0
+    return head + (1.0 + _exp(log_s)) * bi.omega
 
 
 def _log_factor(bi, k):
@@ -170,6 +170,14 @@ def _log_factor(bi, k):
         # delta = 1 with a vanishing drift term; treat as a dead stop
         return -math.inf
     return math.log(u)
+
+
+def _exp(x):
+    # past the float range the bound is inf; math.exp would raise instead
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _log1pexp(x):
@@ -201,6 +209,6 @@ class ProcessBoundAccumulator:
         # S(t) = 1 + u(t) S(t-1)
         self._log_s = _log1pexp(lu + self._log_s)
         u_t = process_step_factor(self.bi, t)
-        head = math.exp(self._log_p + math.log(self.bi.z0)) if self.bi.z0 > 0 else 0.0
-        bound = head + math.exp(self._log_s) * self.bi.omega
+        head = _exp(self._log_p + math.log(self.bi.z0)) if self.bi.z0 > 0 else 0.0
+        bound = head + _exp(self._log_s) * self.bi.omega
         return u_t, bound

@@ -33,12 +33,13 @@ from .analysis import (
     richardson_rate,
 )
 from .datasets import compute_spectrum, load_dataset, partition_rows
-from .noise import ObservationNoise, RoundoffProcessNoise, UniformProcessNoise
 from .runner import (
     CSV_COLUMNS,
     RunConfig,
     emit,
     load_grid_config,
+    resolve_noise,
+    resolve_params,
     run_grid,
     run_monte_carlo,
 )
@@ -154,44 +155,12 @@ def cmd_spectrum(args):
     return 0
 
 
-def _bounds_eta(args, ds):
-    """Expected per-agent l1 measurement corruption at the worst shard size."""
-    if args.eta is not None:
-        return float(args.eta)
-    a = args.noise_level
-    if a is None:
-        from .datasets import REGISTRY
-        info = REGISTRY.get(ds.name)
-        if info is None:
-            raise SystemExit("bounds --noise observation needs --eta or --noise-level "
-                             "for non-registry datasets")
-        a = info.observation_half_width
-    model = ObservationNoise(half_width=float(a))
-    sizes = [stop - start for start, stop in partition_rows(ds.n_rows, args.m)]
-    return model.expected_l1(max(sizes))
-
-
-def _bounds_omega(args, d):
-    """Per-variable l1 corruption magnitude for the process model."""
-    if args.omega is not None:
-        return float(args.omega)
-    kind = args.process_kind or "roundoff"
-    if kind == "roundoff":
-        return RoundoffProcessNoise(decimals=args.roundoff_decimals).l1_bound(d)
-    if args.noise_level is None:
-        raise SystemExit("bounds --process-kind uniform needs --noise-level or --omega")
-    return UniformProcessNoise(seed=0, low=args.process_low,
-                               high=args.noise_level).l1_bound(d)
-
-
 def cmd_bounds(args):
     if args.method != "ipg":
         raise SystemExit("bound curves are defined for --method ipg only")
     ds = load_dataset(args.dataset, args.data_dir)
     d = ds.n_cols
     sp = compute_spectrum(ds.A)
-
-    from .runner import resolve_params
 
     alpha = args.alpha
     if alpha is None:
@@ -203,8 +172,23 @@ def cmd_bounds(args):
                              ds.name, sp)["alpha"]
     z0 = args.z0 if args.z0 is not None else float(np.linalg.norm(ds.x_star))
 
-    eta = _bounds_eta(args, ds) if args.noise == "observation" else 0.0
-    omega = _bounds_omega(args, d) if args.noise == "process" else 0.0
+    # an explicit --eta / --omega wins; otherwise the level `dlsq run`
+    # derives from the same flags
+    level = {"observation": args.eta, "process": args.omega}.get(args.noise)
+    if level is None and args.noise != "none":
+        config = RunConfig(dataset=args.dataset, method="ipg", noise=args.noise, m=args.m,
+                           noise_level=args.noise_level, process_kind=args.process_kind,
+                           process_low=args.process_low,
+                           roundoff_decimals=args.roundoff_decimals)
+        obs_model, _, meta = resolve_noise(config, ds.name, d)
+        if obs_model is None:
+            level = meta["omega"]
+        else:
+            # per-agent expected l1 at the largest shard, as in run()
+            level = obs_model.expected_l1(
+                max(stop - start for start, stop in partition_rows(ds.n_rows, args.m)))
+    eta = float(level) if args.noise == "observation" else 0.0
+    omega = float(level) if args.noise == "process" else 0.0
     bi = bound_inputs_from(sp, m=args.m, d=d, alpha=alpha, delta=delta,
                            eta=eta, omega=omega, z0=z0)
 

@@ -61,7 +61,8 @@ class Shard:
     row_stop: int
     A: np.ndarray
     b: np.ndarray
-    # contiguous transpose copy; the gradient/update kernels want it
+    # contiguous transpose copy for the agent products; multiplying by the
+    # strided A.T view instead rounds differently and changes traces
     AT: np.ndarray = field(repr=False, default=None)
 
     @property

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import roundoff as _roundoff_kernel
-
 # stream ids for iterated variables
 STREAM_X = 1
 STREAM_K = 2
@@ -117,20 +115,23 @@ class RoundoffProcessNoise:
     kind = "roundoff"
 
     def corrupt(self, v, stream, iteration):
-        return _roundoff_kernel(np.asarray(v, dtype=np.float64), 10.0 ** self.decimals)
+        return _round_half_away(np.asarray(v, dtype=np.float64), 10.0 ** self.decimals)
 
     def l1_bound(self, length):
         # deterministic bound: each entry moves by at most half a quantum
         return length * 0.5 * 10.0 ** (-self.decimals)
 
 
+def _round_half_away(v, scale):
+    # round half away from zero at the quantum 1/scale
+    return np.copysign(np.floor(np.abs(v) * scale + 0.5), v) / scale
+
+
 def roundoff(v, decimals=4):
     """Round half away from zero at `decimals` places (scalar or array)."""
     arr = np.asarray(v, dtype=np.float64)
-    out = _roundoff_kernel(np.atleast_1d(arr), 10.0 ** decimals)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    out = _round_half_away(arr, 10.0 ** decimals)
+    return float(out) if arr.ndim == 0 else out
 
 
 def realized_l1(before, after):

@@ -2,7 +2,7 @@
 
 A run is fully determined by its RunConfig (seed included): two runs
 with equal configs emit byte-identical CSV traces. The JSON mirror adds
-metadata that may legitimately vary (wall time, backend, version).
+metadata that may legitimately vary (wall time, version).
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .analysis import (
     ProcessBoundAccumulator,
     bound_inputs_from,
@@ -30,6 +29,7 @@ from .noise import (
     apply_observation_noise,
     realized_l1,
 )
+from .solvers import METHODS, make_solver
 
 
 class _RecordingProcessNoise:
@@ -60,7 +60,7 @@ class _RecordingProcessNoise:
     @property
     def realized_mean(self):
         return self._sum / self._count if self._count else 0.0
-from .solvers import METHODS, make_solver
+
 
 DIVERGENCE_NORM = 1e12
 
@@ -356,7 +356,6 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
             "varrho": spectrum.varrho,
             "cond": spectrum.cond,
         },
-        "backend": BACKEND,
         "version": __version__,
         "wall_time_s": time.perf_counter() - t_start,
     }

@@ -17,6 +17,7 @@ Method summary:
 * nag  - gradient evaluated at the extrapolated point, which is also
          what gets broadcast.
 * hbm  - gradient step plus a momentum term on the last displacement.
+         gd, nag and hbm are one momentum recursion (MomentumSolver).
 * apc  - agents hold local solutions of their own underdetermined
          systems and project toward consensus; the server mixes the
          average with its previous estimate.
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as kernels
 from .network import execute_round
 from .noise import (
     NoProcessNoise,
@@ -45,13 +45,29 @@ METHODS = ("ipg", "gd", "nag", "hbm", "apc", "bfgs")
 
 def agent_gradient(shard, x):
     """g_i = A_i^T (A_i x - b_i) from the shard's own rows only."""
-    return kernels.agent_gradient(shard.A, shard.AT, shard.b, x)
+    return np.dot(shard.AT, np.dot(shard.A, x) - shard.b)
 
 
 def agent_r_matrix(shard, K, m):
     """Stack of the agent's preconditioner residuals, one column per basis
     vector: R_i = A_i^T A_i K - (1/m) I."""
-    return kernels.agent_r_matrix(shard.A, shard.AT, np.ascontiguousarray(K), 1.0 / m)
+    R = np.dot(shard.AT, np.dot(shard.A, K))
+    # subtract I/m without allocating an identity
+    R.ravel()[:: R.shape[0] + 1] -= 1.0 / m
+    return R
+
+
+def bfgs_update(M, s, y, sy):
+    """(I - r s y^T) M (I - r y s^T) + r s s^T with r = 1/sy, expanded
+    for a general (not necessarily symmetric) M."""
+    r = 1.0 / sy
+    My = np.dot(M, y)
+    yM = np.dot(y, M)
+    yMy = np.dot(yM, y)
+    ss = s.reshape(-1, 1) * s.reshape(1, -1)
+    sYM = s.reshape(-1, 1) * yM.reshape(1, -1)
+    Mys = My.reshape(-1, 1) * s.reshape(1, -1)
+    return M - r * (sYM + Mys) + (r * r * yMy + r) * ss
 
 
 # ---------------------------------------------------------------------------
@@ -127,104 +143,48 @@ class IPGSolver:
 
 
 @dataclass
-class FirstOrderState:
+class MomentumState:
     x: np.ndarray
-    x_prev: np.ndarray = None
+    x_prev: np.ndarray
 
 
-class GDSolver:
-    name = "gd"
+class MomentumSolver:
+    """One recursion for gd, hbm and nag:
 
-    def __init__(self, alpha):
-        self.alpha = float(alpha)
+        x+ = x + beta (x - x_prev) - alpha G(x + beta_n (x - x_prev))
 
-    def init_state(self, shards, d, pnoise, seed):
-        x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
-        return FirstOrderState(x=x)
+    gd has beta = beta_n = 0, heavy-ball beta_n = 0, Nesterov beta_n =
+    beta. The gradient point y = x + beta_n (x - x_prev) is what goes out
+    on the wire. step evaluates (y - alpha G) + (beta - beta_n) disp with
+    disp = x - x_prev, which is exactly (x - alpha G) + beta disp for hbm
+    and y - alpha G for nag; any other grouping moves the last bits of
+    every trace.
+    """
 
-    def init_agent_states(self, shards):
-        return None
-
-    def step(self, state, shards, agent_states, pnoise, t):
-        def agent(bc, shard, ast):
-            return (agent_gradient(shard, bc[0]),), ast
-
-        def server(agg):
-            x_next = state.x - self.alpha * agg[0]
-            return FirstOrderState(x=pnoise.corrupt(x_next, STREAM_X, t + 1))
-
-        out = execute_round((state.x,), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
-
-    def iterate(self, state):
-        return state.x
-
-    def internal_arrays(self, state, agent_states):
-        return ()
-
-
-class HBMSolver:
-    """Heavy-ball: momentum on the previous displacement, gradient at x."""
-
-    name = "hbm"
-
-    def __init__(self, alpha, beta):
+    def __init__(self, name, alpha, beta=0.0, beta_n=0.0):
+        self.name = name
         self.alpha = float(alpha)
         self.beta = float(beta)
+        self.beta_n = float(beta_n)
 
     def init_state(self, shards, d, pnoise, seed):
         x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
-        return FirstOrderState(x=x, x_prev=x.copy())
+        return MomentumState(x=x, x_prev=x.copy())
 
     def init_agent_states(self, shards):
         return None
 
     def step(self, state, shards, agent_states, pnoise, t):
-        def agent(bc, shard, ast):
-            return (agent_gradient(shard, bc[0]),), ast
-
-        def server(agg):
-            x_next = state.x - self.alpha * agg[0] + self.beta * (state.x - state.x_prev)
-            x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
-            return FirstOrderState(x=x_next, x_prev=state.x)
-
-        out = execute_round((state.x,), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
-
-    def iterate(self, state):
-        return state.x
-
-    def internal_arrays(self, state, agent_states):
-        return ()
-
-
-class NAGSolver:
-    """Momentum with the gradient taken at the extrapolated point; the
-    extrapolated point is what goes out on the wire."""
-
-    name = "nag"
-
-    def __init__(self, alpha, beta):
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-
-    def init_state(self, shards, d, pnoise, seed):
-        x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
-        return FirstOrderState(x=x, x_prev=x.copy())
-
-    def init_agent_states(self, shards):
-        return None
-
-    def step(self, state, shards, agent_states, pnoise, t):
-        y = state.x + self.beta * (state.x - state.x_prev)
+        disp = state.x - state.x_prev
+        y = state.x + self.beta_n * disp
 
         def agent(bc, shard, ast):
             return (agent_gradient(shard, bc[0]),), ast
 
         def server(agg):
-            x_next = y - self.alpha * agg[0]
+            x_next = y - self.alpha * agg[0] + (self.beta - self.beta_n) * disp
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
-            return FirstOrderState(x=x_next, x_prev=state.x)
+            return MomentumState(x=x_next, x_prev=state.x)
 
         out = execute_round((y,), shards, agent, server, agent_states)
         return out.server_state, out.agent_states, out.finite
@@ -279,7 +239,7 @@ class BFGSSolver:
                 y = G - state.g_prev
                 sy = float(s @ y)
                 if sy > 0.0 and np.isfinite(sy):
-                    M = kernels.bfgs_update(M, s, y, sy)
+                    M = bfgs_update(M, s, y, sy)
                 else:
                     skipped = skipped + [t]
             M = pnoise.corrupt(M, STREAM_M, t + 1)
@@ -321,7 +281,6 @@ class APCSolver:
         self.eta = float(eta)
 
     def init_state(self, shards, d, pnoise, seed):
-        self._d = d
         total = np.zeros(d)
         self._init_agent = []
         for sh in shards:
@@ -329,17 +288,17 @@ class APCSolver:
             P = np.eye(d) - pinv @ sh.A
             x_i = pinv @ sh.b
             x_i = pnoise.corrupt(x_i, STREAM_AGENT_BASE + sh.agent_id, 0)
-            self._init_agent.append((np.ascontiguousarray(x_i), np.ascontiguousarray(P)))
+            self._init_agent.append((x_i, P))
             total += x_i
         xbar = total / len(shards)
         xbar = pnoise.corrupt(xbar, STREAM_XBAR, 0)
         return APCState(xbar=xbar)
 
     def init_agent_states(self, shards):
-        # consumed once; built during init_state so the pinv work happens once
-        states = self._init_agent
-        self._init_agent = None
-        return states
+        # built during init_state so the pinv work happens once; agents
+        # replace their state each round and never mutate it, so handing
+        # out the same list again is safe
+        return self._init_agent
 
     def step(self, state, shards, agent_states, pnoise, t):
         m = len(shards)
@@ -347,9 +306,8 @@ class APCSolver:
 
         def agent(bc, shard, ast):
             x_i, P = ast
-            x_new = kernels.apc_agent_update(P, x_i, bc[0], gamma)
+            x_new = x_i + gamma * np.dot(P, bc[0] - x_i)
             x_new = pnoise.corrupt(x_new, STREAM_AGENT_BASE + shard.agent_id, t + 1)
-            x_new = np.ascontiguousarray(x_new)
             return (x_new,), (x_new, P)
 
         def server(agg):
@@ -377,11 +335,12 @@ def make_solver(method, params):
                          freeze_k=params.get("freeze_k", False),
                          K0=params.get("K0"))
     if method == "gd":
-        return GDSolver(alpha=params["alpha"])
+        return MomentumSolver("gd", params["alpha"])
     if method == "nag":
-        return NAGSolver(alpha=params["alpha"], beta=params["beta"])
+        return MomentumSolver("nag", params["alpha"], beta=params["beta"],
+                              beta_n=params["beta"])
     if method == "hbm":
-        return HBMSolver(alpha=params["alpha"], beta=params["beta"])
+        return MomentumSolver("hbm", params["alpha"], beta=params["beta"])
     if method == "apc":
         return APCSolver(gamma=params["gamma"], eta=params["eta_apc"])
     if method == "bfgs":

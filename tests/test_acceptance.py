@@ -39,7 +39,7 @@ from dlsq import (
     run_monte_carlo,
 )
 from dlsq.runner import trace_csv_text, trace_json_obj
-from dlsq.solvers import METHODS, GDSolver, IPGSolver, agent_gradient, run_rounds
+from dlsq.solvers import METHODS, IPGSolver, agent_gradient, make_solver, run_rounds
 
 BOTH = ("ash608", "gr_30_30")
 
@@ -264,7 +264,7 @@ def test_c6_structural_identities():
     # frozen identity preconditioner vs plain gradient descent, 1000 rounds
     step = 0.2
     xs_gd, xs_ipg = [], []
-    run_rounds(GDSolver(alpha=step), shards, d, 1000,
+    run_rounds(make_solver("gd", {"alpha": step}), shards, d, 1000,
                collect=lambda s, t: xs_gd.append(s.x.copy()))
     run_rounds(IPGSolver(alpha=0.1, delta=step, freeze_k=True, K0=np.eye(d)),
                shards, d, 1000,

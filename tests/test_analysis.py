@@ -177,17 +177,30 @@ def test_process_error_bound_matches_brute_force():
         assert process_error_bound(bi, t) == pytest.approx(oracle[t], rel=1e-10)
 
 
-def test_process_error_bound_survives_huge_transients():
+# both gates fail (omega far above its bound): the bound leaves the float
+# range near t = 169 and must read inf from there on
+GATES_FAIL = BoundInputs(m=10, d=188, delta=1.0, rho=0.9, lambda_1=50.0, lambda_d=1.0,
+                         omega=0.01, k0_fro=1.0, k0_spec=1.0, z0=1.0)
+
+
+@pytest.mark.parametrize("bi, diverges", [
     # early factors are enormous; log-space evaluation must not overflow
-    bi = make_bi(k0_spec=1e6, lambda_1=50.0, rho=0.9, omega=1e-4, z0=10.0)
+    (make_bi(k0_spec=1e6, lambda_1=50.0, rho=0.9, omega=1e-4, z0=10.0), False),
+    (GATES_FAIL, True),
+], ids=["huge-transients", "gates-fail"])
+def test_process_error_bound_survives_huge_transients(bi, diverges):
     v = process_error_bound(bi, 2000)
-    assert math.isfinite(v) or v == math.inf
+    if diverges:
+        assert v == math.inf
+    else:
+        assert math.isfinite(v) or v == math.inf
 
 
-def test_accumulator_matches_closed_form():
-    bi = make_bi()
+@pytest.mark.parametrize("bi, horizon", [(make_bi(), 50), (GATES_FAIL, 250)],
+                         ids=["gates-hold", "gates-fail"])
+def test_accumulator_matches_closed_form(bi, horizon):
     acc = ProcessBoundAccumulator(bi)
-    for t in range(1, 50):
+    for t in range(1, horizon):
         u, b = acc.update(t)
         assert u == pytest.approx(process_step_factor(bi, t), rel=1e-12)
         assert b == pytest.approx(process_error_bound(bi, t), rel=1e-9)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dlsq.cli import main
+from dlsq.runner import RunConfig, run
 
 SPEC = "synth:60,10,4.0,3"
 
@@ -116,6 +117,33 @@ def test_bounds_process_gates(tmp_path):
     # u_t column filled from t = 1 on
     assert rows[1].split(",")[4] == ""
     assert float(rows[2].split(",")[4]) > 0
+
+
+@pytest.mark.parametrize("flags, key", [
+    # 60 rows over 7 agents: shards of 9 and 8 rows, eta at the larger one
+    ({"noise": "observation", "noise_level": 0.05}, "eta"),
+    ({"noise": "process", "process_kind": "uniform", "noise_level": 2e-4,
+      "process_low": -1e-4}, "omega"),
+])
+def test_bounds_and_run_report_the_same_noise_level(tmp_path, flags, key):
+    trace = run(RunConfig(dataset=SPEC, method="ipg", m=7, max_iters=1, **flags))
+    argv = ["bounds", "--dataset", SPEC, "--m", "7", "--horizon", "1",
+            "--out", str(tmp_path), "--label", "b"]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "b.json").read_text())
+    assert report[key] == trace.summary["noise"][key]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--noise", "observation"],
+    ["--noise", "process", "--process-kind", "uniform"],
+])
+def test_bounds_missing_noise_level_is_reported(tmp_path, capsys, flags):
+    rc = main(["bounds", "--dataset", SPEC, "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "noise_level" in capsys.readouterr().err
 
 
 def test_bounds_rejects_other_methods(tmp_path):

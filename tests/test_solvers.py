@@ -8,10 +8,10 @@ from dlsq.noise import NoProcessNoise, UniformProcessNoise
 from dlsq.solvers import (
     BFGSSolver,
     BFGSState,
-    GDSolver,
     IPGSolver,
     agent_gradient,
     agent_r_matrix,
+    bfgs_update,
     make_solver,
     run_rounds,
 )
@@ -254,7 +254,6 @@ def test_bfgs_converges_fast_on_quadratic(d):
 
 
 def test_bfgs_update_matches_textbook_formula(rng):
-    from dlsq import _kernels
     d = 7
     M = np.eye(d) + 0.1 * rng.standard_normal((d, d))
     M = (M + M.T) / 2
@@ -264,7 +263,7 @@ def test_bfgs_update_matches_textbook_formula(rng):
     if sy <= 0:
         s, y = -s, y
         sy = -sy
-    out = _kernels.bfgs_update(np.ascontiguousarray(M), s, y, sy)
+    out = bfgs_update(np.ascontiguousarray(M), s, y, sy)
     r = 1.0 / sy
     V = np.eye(d) - r * np.outer(s, y)
     expect = V @ M @ V.T + r * np.outer(s, s)
@@ -326,6 +325,23 @@ def test_apc_iterates_stay_in_local_solution_sets(small_problem):
         state, agent_states, _ = solver.step(state, shards, agent_states, pn, t)
         for sh, (x_i, _) in zip(shards, agent_states):
             np.testing.assert_allclose(sh.A @ x_i, sh.b, atol=1e-8)
+
+
+def test_apc_init_agent_states_can_be_fetched_twice(small_problem):
+    ds = small_problem
+    solver = make_solver("apc", {"gamma": 1.02, "eta_apc": 1.5})
+    shards = make_shards(ds, 3)
+    pn = NoProcessNoise()
+    state = solver.init_state(shards, ds.n_cols, pn, 0)
+    first = solver.init_agent_states(shards)
+    second = solver.init_agent_states(shards)
+    assert second is not None and len(second) == len(shards)
+    for (x_a, P_a), (x_b, P_b) in zip(first, second):
+        assert np.array_equal(x_a, x_b) and np.array_equal(P_a, P_b)
+    # a step from either hand-off gives the same next state
+    a, _, _ = solver.step(state, shards, first, pn, 0)
+    b, _, _ = solver.step(state, shards, second, pn, 0)
+    assert np.array_equal(a.xbar, b.xbar)
 
 
 def test_apc_recursion_oracle(small_problem):
