@@ -61,6 +61,10 @@ class Shard:
     row_stop: int
     A: np.ndarray
     b: np.ndarray
+    # column span of the nonzeros: first through last nonzero column of A,
+    # empty for an all-zero shard. A stays full width; agents use the span
+    # to compute and send only the rows their shard can touch.
+    cols: slice
     # contiguous transpose copy for the agent products; multiplying by the
     # strided A.T view instead rounds differently and changes traces
     AT: np.ndarray = field(repr=False, default=None)
@@ -293,6 +297,25 @@ def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0, x_star=None, name=None
                    A=A, x_star=x_star, b=b)
 
 
+def stencil_problem(nx, ny, x_star=None):
+    """9-point operator on an nx x ny grid: 8 on the diagonal, -1 on each
+    of the up to 8 neighbours. It has the structure of gr_30_30 (a 30x30
+    grid has the same 900 x 900 shape and 7744 nonzeros) but is an
+    analogue, not the SuiteSparse matrix."""
+    if nx < 1 or ny < 1:
+        raise ValueError("stencil grid needs nx, ny >= 1")
+    d = nx * ny
+    A = np.zeros((d, d))
+    idx = np.arange(d).reshape(nx, ny)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            src = idx[max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)]
+            dst = idx[max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)]
+            A[src.ravel(), dst.ravel()] = 8.0 if di == dj == 0 else -1.0
+    x_star = np.ones(d) if x_star is None else np.asarray(x_star, dtype=np.float64)
+    return Dataset(name=f"stencil-{nx}x{ny}", A=A, x_star=x_star, b=A @ x_star)
+
+
 def resolve_data_dir(data_dir=None):
     if data_dir is not None:
         return Path(data_dir)
@@ -307,8 +330,14 @@ def dataset_path(name, data_dir=None):
 
 
 def load_dataset(name_or_path, data_dir=None, x_star=None):
-    """Load a problem by registry name, .mtx path, or synth:<rows>,<cols>,<cond>[,<seed>] spec."""
+    """Load a problem by registry name, .mtx path, synth:<rows>,<cols>,<cond>[,<seed>]
+    or stencil:<nx>,<ny> spec."""
     s = str(name_or_path)
+    if s.startswith("stencil:"):
+        parts = s[len("stencil:"):].split(",")
+        if len(parts) != 2:
+            raise ValueError("stencil spec is stencil:<nx>,<ny>")
+        return stencil_problem(int(parts[0]), int(parts[1]), x_star=x_star)
     if s.startswith("synth:"):
         parts = s[len("synth:"):].split(",")
         if len(parts) not in (3, 4):
@@ -358,6 +387,13 @@ def partition_rows(n_rows, m):
     return spans
 
 
+def _column_span(A):
+    """slice(lo, hi) from the first through the last nonzero column of A;
+    slice(0, 0) when A is all zero."""
+    nz = np.flatnonzero(A.any(axis=0))
+    return slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)
+
+
 def make_shards(dataset, m):
     shards = []
     for i, (start, stop) in enumerate(partition_rows(dataset.n_rows, m)):
@@ -369,6 +405,7 @@ def make_shards(dataset, m):
                 row_stop=stop,
                 A=A_i,
                 b=np.ascontiguousarray(dataset.b[start:stop]),
+                cols=_column_span(A_i),
                 AT=np.ascontiguousarray(A_i.T),
             )
         )

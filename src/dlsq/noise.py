@@ -123,8 +123,16 @@ class RoundoffProcessNoise:
 
 
 def _round_half_away(v, scale):
-    # round half away from zero at the quantum 1/scale
-    return np.copysign(np.floor(np.abs(v) * scale + 0.5), v) / scale
+    # round half away from zero at the quantum 1/scale, in place in one
+    # buffer; out= keeps a 0-d input an array (a bare ufunc returns a scalar)
+    out = np.empty_like(v)
+    np.abs(v, out=out)
+    out *= scale
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, v, out=out)
+    out /= scale
+    return out
 
 
 def roundoff(v, decimals=4):
@@ -136,7 +144,9 @@ def roundoff(v, decimals=4):
 
 def realized_l1(before, after):
     """l1 magnitude of the corruption actually applied to one variable."""
-    return float(np.abs(np.asarray(after) - np.asarray(before)).sum())
+    diff = np.atleast_1d(np.subtract(after, before))
+    np.abs(diff, out=diff)
+    return float(diff.sum())
 
 
 def estimate_noise_level(draws):

@@ -114,6 +114,23 @@ class RunConfig:
     data_dir: str = None
     label: str = None
 
+    def __post_init__(self):
+        # reject values that would otherwise fail deep inside numpy or run
+        # silently wrong (written as `not >=` so NaN is rejected too)
+        if self.noise_level is not None and not self.noise_level >= 0:
+            raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
+        try:
+            scale = 10.0 ** self.roundoff_decimals
+        except (OverflowError, TypeError):
+            scale = 0.0
+        if not 0.0 < scale < float("inf"):
+            raise ValueError(f"roundoff_decimals={self.roundoff_decimals!r}: "
+                             "10.0**roundoff_decimals must be a finite positive float")
+        if not self.stop_window >= 1:
+            raise ValueError(f"stop_window must be >= 1, got {self.stop_window!r}")
+        if not self.stop_tol >= 0:
+            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol!r}")
+
     def to_dict(self):
         return asdict(self)
 

@@ -49,12 +49,29 @@ def agent_gradient(shard, x):
 
 
 def agent_r_matrix(shard, K, m):
-    """Stack of the agent's preconditioner residuals, one column per basis
-    vector: R_i = A_i^T A_i K - (1/m) I."""
-    R = np.dot(shard.AT, np.dot(shard.A, K))
-    # subtract I/m without allocating an identity
-    R.ravel()[:: R.shape[0] + 1] -= 1.0 / m
+    """Rows shard.cols of the agent's preconditioner residuals, one column
+    per basis vector: R_i = A_i^T A_i K - (1/m) I.
+
+    A_i is zero outside its column span, so the other rows of R_i are just
+    -e_j^T / m; the server puts those back (left_out_diagonal). For a full
+    span every operand is the same buffer with the same strides as the
+    unsliced arrays, so the products round exactly as before.
+    """
+    c = shard.cols
+    R = np.dot(shard.AT[c], np.dot(shard.A[:, c], K[c]))
+    # subtract I/m on the block's diagonal without allocating an identity
+    R.ravel()[c.start :: R.shape[1] + 1] -= 1.0 / m
     return R
+
+
+def left_out_diagonal(shards, d):
+    """Per row j, (number of shards whose column span misses j) / m: the
+    -1/m diagonal entries the agent_r_matrix blocks leave out of their sum.
+    All zeros when every span is full."""
+    covered = np.zeros(d)
+    for sh in shards:
+        covered[sh.cols] += 1.0
+    return (len(shards) - covered) / len(shards)
 
 
 def bfgs_update(M, s, y, sy):
@@ -108,6 +125,7 @@ class IPGSolver:
 
     def step(self, state, shards, agent_states, pnoise, t):
         m = len(shards)
+        d = state.x.shape[0]
         alpha, delta, freeze = self.alpha, self.delta, self.freeze_k
 
         def agent(bc, shard, ast):
@@ -123,6 +141,8 @@ class IPGSolver:
                 K_next = state.K
             else:
                 G, R_sum = agg
+                # subtracting 0.0 on full spans leaves every bit unchanged
+                R_sum.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
                 K_next = state.K - alpha * R_sum
                 K_next = pnoise.corrupt(K_next, STREAM_K, t + 1)
             x_next = state.x - delta * (K_next @ G)

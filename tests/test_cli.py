@@ -47,6 +47,13 @@ def test_run_missing_dataset_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_invalid_config_field_exits_2(tmp_path, capsys):
+    rc = main(["run", "--dataset", SPEC, "--method", "gd", "--stop-window", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "stop_window" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["run", "--dataset", SPEC, "--method", "adam", "--out", str(tmp_path)])
@@ -164,5 +171,5 @@ def test_negative_scientific_values_parse(tmp_path):
     rc = main(["run", "--dataset", SPEC, "--method", "ipg", "--noise", "process",
                "--process-kind", "uniform", "--noise-level", "1e-4",
                "--process-low", "-1e-4", "--m", "5", "--max-iters", "40",
-               "--stop-tol", "-1.0", "--out", str(tmp_path)])
+               "--stop-tol", "0", "--out", str(tmp_path)])
     assert rc == 0

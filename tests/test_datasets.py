@@ -6,6 +6,7 @@ import pytest
 
 from dlsq.datasets import (
     MatrixMarketError,
+    Dataset,
     RankDeficiencyError,
     compute_spectrum,
     load_dataset,
@@ -178,6 +179,21 @@ def test_shards_expose_contiguous_transpose(small_problem):
         assert np.array_equal(sh.AT, sh.A.T)
 
 
+def test_shard_column_spans():
+    # contiguous rows of a 30x30 grid stencil touch their grid rows plus one
+    # grid row (30 columns) on each side
+    stencil = make_shards(load_dataset("stencil:30,30"), 10)
+    assert max(sh.cols.stop - sh.cols.start for sh in stencil) <= 152
+    for sh in stencil:
+        nz = np.flatnonzero(sh.A.any(axis=0))
+        assert (sh.cols.start, sh.cols.stop) == (nz[0], nz[-1] + 1)
+    for sh in make_shards(load_dataset("synth:40,6,5.0,1"), 4):
+        assert sh.cols == slice(0, 6)
+    A = np.vstack([np.eye(3), np.zeros((2, 3))])
+    zero_tail = Dataset(name="eye-zero", A=A, x_star=np.ones(3), b=A @ np.ones(3))
+    assert make_shards(zero_tail, 2)[1].cols == slice(0, 0)
+
+
 # -- synthesis ---------------------------------------------------------------
 
 
@@ -208,6 +224,22 @@ def test_load_dataset_synth_spec_roundtrip():
     assert ds.A.shape == (30, 5)
     with pytest.raises(ValueError):
         load_dataset("synth:30,5")
+
+
+@pytest.mark.parametrize("nx,ny", [(30, 30), (4, 7), (1, 5)])
+def test_load_dataset_stencil_spec(nx, ny):
+    ds = load_dataset(f"stencil:{nx},{ny}")
+    d = nx * ny
+    assert ds.A.shape == (d, d)
+    assert np.array_equal(ds.A, ds.A.T)
+    assert np.all(np.diag(ds.A) == 8.0)
+    # each node couples to itself and its up to 8 grid neighbours
+    assert np.count_nonzero(ds.A) == (3 * nx - 2) * (3 * ny - 2)
+    assert set(np.unique(ds.A)) <= {-1.0, 0.0, 8.0}
+    np.testing.assert_array_equal(ds.x_star, np.ones(d))
+    assert np.array_equal(ds.b, ds.A @ ds.x_star)
+    with pytest.raises(ValueError):
+        load_dataset("stencil:30")
 
 
 def test_load_dataset_missing_registry_file_names_source(tmp_path, monkeypatch):

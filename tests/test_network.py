@@ -1,10 +1,13 @@
 """Round execution: aggregation order, identities against centralized math."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dlsq.datasets import make_shards, synthesize_problem
+from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.network import execute_round
-from dlsq.solvers import agent_gradient
+from dlsq.runner import RunConfig, resolve_params
+from dlsq.solvers import agent_gradient, make_solver, run_rounds
 
 
 def sum_gradients(shards, x):
@@ -107,3 +110,37 @@ def test_duplicate_agent_ids_rejected():
     with pytest.raises(ValueError):
         execute_round((None,), dup, lambda b, s, a: ((np.zeros(1),), a),
                       lambda agg: None)
+
+
+def test_block_parts_add_at_their_column_span():
+    shards = make_shards(load_dataset("stencil:4,4"), 4)
+    assert [sh.cols for sh in shards[:2]] == [slice(0, 8), slice(0, 12)]
+    # a full-span shard replies full width in the same part slot
+    shards[2] = replace(shards[2], cols=slice(0, 16))
+
+    def agent(bc, shard, ast):
+        # a full-width vector, a block over the span, and a plain scalar
+        w = shard.cols.stop - shard.cols.start
+        block = np.full((w, 2), float(shard.agent_id + 1))
+        return (np.ones(16), block, 1.0), ast
+
+    vec, mat, count = execute_round((None,), shards[::-1], agent, lambda agg: agg).server_state
+    np.testing.assert_array_equal(vec, np.full(16, 4.0))
+    want = np.zeros((16, 2))
+    for sh in shards:
+        want[sh.cols] += sh.agent_id + 1
+    np.testing.assert_array_equal(mat, want)
+    assert count == 4.0
+
+
+def test_ipg_on_shuffled_stencil_shards_is_bit_exact(rng):
+    ds = load_dataset("stencil:6,6")
+    params = resolve_params(RunConfig(dataset=ds.name, method="ipg"), ds.name,
+                            compute_spectrum(ds.A))
+    shards = make_shards(ds, 7)
+    shuffled = list(shards)
+    rng.shuffle(shuffled)
+    finals = [run_rounds(make_solver("ipg", params), order, ds.n_cols, 25)
+              for order in (shards, shuffled)]
+    assert np.array_equal(finals[0].x, finals[1].x)
+    assert np.array_equal(finals[0].K, finals[1].K)

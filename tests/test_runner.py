@@ -113,6 +113,24 @@ def test_run_validates_method_and_noise():
         run(cfg(noise="adversarial"))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("noise_level", -0.5),
+    ("noise_level", float("nan")),
+    ("roundoff_decimals", 400),
+    ("roundoff_decimals", -400),
+    ("stop_window", 0),
+    ("stop_tol", -1e-6),
+])
+def test_run_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        cfg(**{field: value})
+
+
+def test_run_config_accepts_disabled_stop_rule_and_zero_rounds():
+    trace = run(cfg(stop_tol=0.0, max_iters=0))
+    assert trace.summary["iterations"] == 0
+
+
 # -- stop rule and divergence --------------------------------------------------
 
 

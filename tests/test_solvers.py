@@ -1,10 +1,21 @@
 """Solver update rules against hand and brute-force oracles."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dlsq.datasets import Dataset, compute_spectrum, make_shards, synthesize_problem
+from dlsq.analysis import estimation_error
+from dlsq.datasets import Dataset, compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.network import execute_round
-from dlsq.noise import NoProcessNoise, UniformProcessNoise
+from dlsq.noise import (
+    NoProcessNoise,
+    ObservationNoise,
+    UniformProcessNoise,
+    apply_observation_noise,
+)
+from dlsq.runner import RunConfig, resolve_params, run
 from dlsq.solvers import (
     BFGSSolver,
     BFGSState,
@@ -12,6 +23,7 @@ from dlsq.solvers import (
     agent_gradient,
     agent_r_matrix,
     bfgs_update,
+    left_out_diagonal,
     make_solver,
     run_rounds,
 )
@@ -93,6 +105,94 @@ def test_r_matrix_sums_match_dense_product(small_problem, rng):
     total = sum(agent_r_matrix(sh, K, m) for sh in shards)
     direct = small_problem.A.T @ (small_problem.A @ K) - np.eye(d)
     assert np.linalg.norm(total - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
+
+
+# -- column-span compression --------------------------------------------------
+
+
+def dense_r_matrix(shard, K, m):
+    return shard.A.T @ (shard.A @ K) - np.eye(K.shape[0]) / m
+
+
+def test_r_matrix_block_is_the_span_rows_of_the_dense_residual(rng):
+    ds = load_dataset("stencil:10,10")
+    d, m = ds.n_cols, 10
+    K = rng.standard_normal((d, d))
+    for sh in make_shards(ds, m):
+        dense = dense_r_matrix(sh, K, m)
+        block = agent_r_matrix(sh, K, m)
+        assert sh.cols.stop - sh.cols.start < d
+        assert block.shape == (sh.cols.stop - sh.cols.start, d)
+        np.testing.assert_allclose(block, dense[sh.cols], rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+        # rows the shard cannot touch are exactly -e_j^T / m
+        off = np.ones(d, dtype=bool)
+        off[sh.cols] = False
+        assert np.array_equal(dense[off], -np.eye(d)[off] / m)
+
+
+def summed_residuals(shards, K, d):
+    """Server view of one ipg round: placed blocks plus the left-out diagonal."""
+    m = len(shards)
+    R = execute_round((K,), shards, lambda bc, sh, a: ((agent_r_matrix(sh, bc[0], m),), a),
+                      lambda agg: agg[0]).server_state
+    R.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
+    return R
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(2, 24), rows_per_col=st.integers(1, 3), band=st.integers(0, 23),
+       m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_compressed_residual_sum_equals_dense_sum(d, rows_per_col, band, m_frac, seed):
+    rng = np.random.default_rng(seed)
+    n = rows_per_col * d
+    # row i is nonzero on the columns within `band` of its scaled diagonal
+    rows, cols = np.indices((n, d))
+    A = np.where(np.abs(rows // rows_per_col - cols) <= band, rng.standard_normal((n, d)), 0.0)
+    ds = Dataset(name="banded", A=A, x_star=np.ones(d), b=A @ np.ones(d))
+    m = 1 + int(m_frac * (n - 1))
+    shards = make_shards(ds, m)
+    K = rng.standard_normal((d, d))
+    R = summed_residuals(shards, K, d)
+    dense = sum(dense_r_matrix(sh, K, m) for sh in shards)
+    np.testing.assert_allclose(R, dense, rtol=0, atol=1e-12 * max(1.0, np.abs(dense).max()))
+    shuffled = list(shards)
+    rng.shuffle(shuffled)
+    assert np.array_equal(summed_residuals(shuffled, K, d), R)
+
+
+@pytest.mark.parametrize("observation", [False, True])
+def test_ipg_compressed_matches_forced_dense(observation):
+    ds = load_dataset("stencil:8,8")
+    d = ds.n_cols
+    params = resolve_params(RunConfig(dataset=ds.name, method="ipg"), ds.name,
+                            compute_spectrum(ds.A))
+    shards = make_shards(ds, 10)
+    assert any(sh.cols != slice(0, d) for sh in shards)
+    if observation:
+        shards, _, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
+    curves = []
+    for variant in (shards, [replace(sh, cols=slice(0, d)) for sh in shards]):
+        solver = make_solver("ipg", params)
+        errs = []
+        # 40 rounds keep the error far above the 1e-15 absolute roundoff
+        # gap that the reordered diagonal sum leaves between the two paths
+        run_rounds(solver, variant, d, 40, collect=lambda state, t: errs.append(
+            estimation_error(solver.iterate(state), ds.x_star)))
+        curves.append(np.array(errs))
+    compressed, dense = curves
+    assert np.all(np.abs(compressed - dense) <= 1e-12 * dense)
+
+
+def test_ipg_run_completes_with_an_all_zero_shard():
+    # stencil rows followed by zero rows: the last agent sees no data at all
+    A = np.vstack([load_dataset("stencil:4,4").A, np.zeros((4, 16))])
+    ds = Dataset(name="stencil-zero-tail", A=A, x_star=np.ones(16), b=A @ np.ones(16))
+    assert make_shards(ds, 5)[-1].cols == slice(0, 0)
+    trace = run(RunConfig(dataset=ds.name, method="ipg", m=5, max_iters=60, stop_tol=0.0),
+                dataset=ds)
+    assert trace.summary["iterations"] == 60
+    assert trace.final_err < 1e-6 * trace.rows[0].err
 
 
 # -- preconditioned method ----------------------------------------------------
