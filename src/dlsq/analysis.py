@@ -191,7 +191,7 @@ class ProcessBoundAccumulator:
     """Incremental log-space evaluation of process_error_bound along a run.
 
     update(t) for t = 1, 2, ... returns (u_t, bound_t) and must be called
-    in order; bound_at(0) is z0 + omega.
+    in order; the bound at t = 0 needs no update, it is z0 + omega.
     """
 
     def __init__(self, bi):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import partition_rows, with_observed_b
+
 # stream ids for iterated variables
 STREAM_X = 1
 STREAM_K = 2
@@ -58,23 +60,22 @@ class ObservationNoise:
         return n * self.half_width / 2.0
 
 
+def observation_eta(model, n_rows, m):
+    """eta, the level the observation bounds use: the expected per-agent
+    l1 noise magnitude at the largest of the m contiguous row shards."""
+    return model.expected_l1(max(stop - start for start, stop in partition_rows(n_rows, m)))
+
+
 def apply_observation_noise(shards, seed, model):
-    """Corrupt every shard's b once. Returns (shards, expected, realized).
-
-    expected/realized are the per-agent l1 noise magnitudes; the max over
-    agents is the level the bound formulas use.
-    """
-    from .datasets import with_observed_b
-
+    """Corrupt every shard's b once. Returns (shards, realized), realized
+    being the per-agent l1 magnitudes of the draws."""
     noisy = []
-    expected = []
     realized = []
     for sh in shards:
         w = model.draw(seed, sh.agent_id, sh.n_rows)
         noisy.append(with_observed_b(sh, w))
-        expected.append(model.expected_l1(sh.n_rows))
         realized.append(float(np.abs(w).sum()))
-    return noisy, expected, realized
+    return noisy, realized
 
 
 class NoProcessNoise:

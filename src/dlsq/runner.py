@@ -7,8 +7,10 @@ metadata that may legitimately vary (wall time, version).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,10 @@ from .noise import (
     RoundoffProcessNoise,
     UniformProcessNoise,
     apply_observation_noise,
+    observation_eta,
     realized_l1,
 )
-from .solvers import METHODS, make_solver
+from .solvers import METHODS, make_solver, rounds
 
 
 class _RecordingProcessNoise:
@@ -65,6 +68,7 @@ class _RecordingProcessNoise:
 DIVERGENCE_NORM = 1e12
 
 NOISE_MODES = ("none", "observation", "process")
+PROCESS_KINDS = (None, "roundoff", "uniform")
 
 # Reference step/momentum parameters for the two named datasets.
 DEFAULT_PARAMS = {
@@ -117,6 +121,13 @@ class RunConfig:
     def __post_init__(self):
         # reject values that would otherwise fail deep inside numpy or run
         # silently wrong (written as `not >=` so NaN is rejected too)
+        for name, allowed in (("method", METHODS), ("noise", NOISE_MODES),
+                              ("process_kind", PROCESS_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name, low in (("m", 1), ("reps", 1), ("max_iters", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.noise_level is not None and not self.noise_level >= 0:
             raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
         try:
@@ -221,45 +232,51 @@ def resolve_noise(config, dataset_name, d):
         meta["half_width"] = float(a)
         return ObservationNoise(half_width=float(a)), NoProcessNoise(), meta
 
-    if config.noise == "process":
-        kind = config.process_kind
-        level = config.noise_level
-        if kind is None:
-            per_ds = DEFAULT_PROCESS.get(dataset_name)
-            if per_ds is None:
-                kind = "roundoff"
-            else:
-                entry = per_ds.get(config.method, per_ds["default"])
-                kind = entry[0]
-                if level is None and kind == "uniform":
-                    level = entry[1]
-        if kind == "roundoff":
-            model = RoundoffProcessNoise(decimals=config.roundoff_decimals)
-            meta.update(kind="roundoff", decimals=config.roundoff_decimals)
-        elif kind == "uniform":
-            if level is None:
-                raise ValueError("uniform process noise needs a noise_level (high end)")
-            model = UniformProcessNoise(seed=config.seed, low=config.process_low,
-                                        high=float(level))
-            meta.update(kind="uniform", low=config.process_low, high=float(level))
+    kind = config.process_kind
+    level = config.noise_level
+    if kind is None:
+        per_ds = DEFAULT_PROCESS.get(dataset_name)
+        if per_ds is None:
+            kind = "roundoff"
         else:
-            raise ValueError(f"unknown process kind {kind!r}")
-        meta["omega"] = model.l1_bound(d)
-        return None, model, meta
+            entry = per_ds.get(config.method, per_ds["default"])
+            kind = entry[0]
+            if level is None and kind == "uniform":
+                level = entry[1]
+    if kind == "roundoff":
+        model = RoundoffProcessNoise(decimals=config.roundoff_decimals)
+        meta.update(kind="roundoff", decimals=config.roundoff_decimals)
+    else:
+        if level is None:
+            raise ValueError("uniform process noise needs a noise_level (high end)")
+        model = UniformProcessNoise(seed=config.seed, low=config.process_low,
+                                    high=float(level))
+        meta.update(kind="uniform", low=config.process_low, high=float(level))
+    meta["omega"] = model.l1_bound(d)
+    return None, model, meta
 
-    raise ValueError(f"unknown noise mode {config.noise!r}; choose from {NOISE_MODES}")
+
+NO_BOUNDS = (None, None, None)
 
 
-def _bound_machinery(config, spectrum, params, d, eta, omega, z0):
-    """Per-row bound evaluation for preconditioned runs under noise."""
+def _bound_columns(config, spectrum, params, d, eta, omega, z0):
+    """The bound columns (bound_t1, u_t, bound_t2) of row t as a function
+    of (t, previous row's error); None for runs that carry no bounds
+    (only ipg under noise does)."""
     if config.method != "ipg" or config.noise == "none":
         return None
     bi = bound_inputs_from(spectrum, m=config.m, d=d,
                            alpha=params["alpha"], delta=params["delta"],
                            eta=eta, omega=omega, z0=z0)
     if config.noise == "observation":
-        return {"mode": "observation", "bi": bi}
-    return {"mode": "process", "bi": bi, "acc": ProcessBoundAccumulator(bi)}
+        def columns(t, prev_err):
+            return (observation_step_bound(bi, prev_err, t - 1), None, None) if t else NO_BOUNDS
+    else:
+        acc = ProcessBoundAccumulator(bi)
+
+        def columns(t, prev_err):
+            return (None, *acc.update(t)) if t else (None, None, bi.z0 + bi.omega)
+    return columns
 
 
 def run(config, dataset=None, spectrum=None, on_iteration=None):
@@ -269,11 +286,6 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     across repetitions; on_iteration, when given, is called with
     (state, row) after every round.
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}; choose from {METHODS}")
-    if config.noise not in NOISE_MODES:
-        raise ValueError(f"unknown noise mode {config.noise!r}; choose from {NOISE_MODES}")
-
     t_start = time.perf_counter()
     ds = dataset if dataset is not None else load_dataset(config.dataset, config.data_dir)
     d = ds.n_cols
@@ -285,38 +297,27 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     shards = make_shards(ds, config.m)
     eta = 0.0
     if obs_model is not None:
-        shards, eta_expected, eta_realized = apply_observation_noise(
-            shards, config.seed, obs_model)
-        eta = max(eta_expected)
-        noise_meta["eta"] = eta
+        shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
+        eta = noise_meta["eta"] = observation_eta(obs_model, ds.n_rows, config.m)
         noise_meta["eta_realized_max"] = max(eta_realized)
     omega = noise_meta.get("omega", 0.0)
     if config.noise == "process":
         pnoise = _RecordingProcessNoise(pnoise, d)
 
     solver = make_solver(config.method, params)
-    state = solver.init_state(shards, d, pnoise, config.seed)
-    agent_states = solver.init_agent_states(shards)
-
-    x = solver.iterate(state)
-    err0 = estimation_error(x, ds.x_star)
-    bounds = _bound_machinery(config, spectrum, params, d, eta, omega, z0=err0)
-
-    row0 = TraceRow(t=0, err=err0,
-                    bound_t2=(err0 + omega) if bounds and bounds["mode"] == "process" else None)
-    rows = [row0]
+    steps = rounds(solver, shards, d, pnoise, config.seed)
+    _, state, _, _ = next(steps)
+    x_prev = solver.iterate(state).copy()
+    err0 = estimation_error(x_prev, ds.x_star)
+    bounds = _bound_columns(config, spectrum, params, d, eta, omega, z0=err0)
+    row = TraceRow(0, err0, None, *(bounds(0, None) if bounds else NO_BOUNDS))
+    rows = [row]
     if on_iteration:
-        on_iteration(state, row0)
+        on_iteration(state, row)
 
-    omega_realized_max = 0.0
     stopped = "maxiter"
-    diverged_at = None
     consecutive = 0
-    x_prev = x.copy()
-
-    for t in range(config.max_iters):
-        state, agent_states, reply_finite = solver.step(
-            state, shards, agent_states, pnoise, t)
+    for t, state, agent_states, reply_finite in islice(steps, config.max_iters):
         x = solver.iterate(state)
         err = estimation_error(x, ds.x_star)
         delta_step = float(np.linalg.norm(x - x_prev))
@@ -325,23 +326,14 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
                   and all(np.all(np.isfinite(a)) for a in solver.internal_arrays(state, agent_states)))
         diverged = (not finite) or float(np.linalg.norm(x)) > DIVERGENCE_NORM
 
-        bound_t1 = u_t = bound_t2 = None
-        if bounds is not None and not diverged:
-            if bounds["mode"] == "observation":
-                bound_t1 = observation_step_bound(bounds["bi"], rows[-1].err, t)
-            else:
-                u_t, bound_t2 = bounds["acc"].update(t + 1)
-
-        row = TraceRow(t=t + 1, err=err, step_delta=delta_step,
-                       bound_t1=bound_t1, u_t=u_t, bound_t2=bound_t2,
-                       diverged=diverged)
+        cols = bounds(t, row.err) if bounds and not diverged else NO_BOUNDS
+        row = TraceRow(t, err, delta_step, *cols, diverged)
         rows.append(row)
         if on_iteration:
             on_iteration(state, row)
 
         if diverged:
             stopped = "diverged"
-            diverged_at = t + 1
             break
 
         if delta_step < config.stop_tol:
@@ -366,7 +358,7 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
         "final_err": rows[-1].err,
         "stopped": stopped,
         "diverged": stopped == "diverged",
-        "diverged_at": diverged_at,
+        "diverged_at": rows[-1].t if stopped == "diverged" else None,
         "spectrum": {
             "lambda_1": spectrum.lambda_1,
             "lambda_d": spectrum.lambda_d,
@@ -416,7 +408,7 @@ def run_monte_carlo(config, dataset=None, spectrum=None):
     traces_first = None
     finals = []
     summaries = []
-    for r in range(max(1, config.reps)):
+    for r in range(config.reps):
         cfg_r = replace(config, seed=rep_seed(config.seed, r), reps=1)
         trace = run(cfg_r, dataset=dataset, spectrum=spectrum)
         if r == 0:
@@ -460,28 +452,50 @@ def trace_json_obj(trace):
     }
 
 
+def _strict_json_obj(obj):
+    """obj with every non-finite float, at any depth, replaced by its repr
+    ("inf", "-inf", "nan"), so it serializes as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict_json_obj(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json_obj(v) for v in obj]
+    return obj
+
+
+def strict_json_text(obj):
+    """Indented, key-sorted JSON text of _strict_json_obj(obj)."""
+    return json.dumps(_strict_json_obj(obj), indent=1, sort_keys=True, allow_nan=False)
+
+
+def trace_label(trace):
+    """The config's label, else <dataset>-<method>-<noise>-s<seed>."""
+    c = trace.config
+    return c.label or f"{trace.summary['dataset']}-{c.method}-{c.noise}-s{c.seed}"
+
+
 def emit(trace, out_dir, basename=None):
-    """Write <basename>.csv and <basename>.json under out_dir; returns paths."""
+    """Write <basename>.csv and <basename>.json under out_dir (basename
+    defaults to trace_label); returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if basename is None:
-        c = trace.config
-        basename = c.label or f"{trace.summary['dataset']}-{c.method}-{c.noise}-s{c.seed}"
+    basename = basename or trace_label(trace)
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
     csv_path.write_text(trace_csv_text(trace))
-    json_path.write_text(json.dumps(trace_json_obj(trace), indent=1, sort_keys=True))
+    json_path.write_text(strict_json_text(trace_json_obj(trace)))
     return csv_path, json_path
 
 
-def _parse_cell(col, s):
-    if s == "":
-        return None
-    if col == "t":
-        return int(s)
+def _parse_cell(col, v):
+    # a CSV string, or a JSON value: strict JSON carries non-finite floats
+    # as strings ("inf", "nan")
     if col == "diverged":
-        return s == "1"
-    return float(s)
+        return v in (True, "1")
+    if v is None or v == "":
+        return None
+    return int(v) if col == "t" else float(v)
 
 
 def parse_trace(path):
@@ -490,8 +504,7 @@ def parse_trace(path):
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
-        rows = [TraceRow(**{c: (bool(v) if c == "diverged" else v)
-                            for c, v in zip(obj["columns"], vals)})
+        rows = [TraceRow(**{c: _parse_cell(c, v) for c, v in zip(obj["columns"], vals)})
                 for vals in obj["rows"]]
         cfg = RunConfig.from_dict(obj["config"])
         return RunTrace(config=cfg, params=obj["params"], rows=rows,
@@ -500,12 +513,8 @@ def parse_trace(path):
     header = text[0].split(",")
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected columns {header}")
-    rows = []
-    for line in text[1:]:
-        cells = line.split(",")
-        kw = {c: _parse_cell(c, s) for c, s in zip(CSV_COLUMNS, cells)}
-        kw["diverged"] = bool(kw["diverged"])
-        rows.append(TraceRow(**kw))
+    rows = [TraceRow(**{c: _parse_cell(c, s) for c, s in zip(CSV_COLUMNS, line.split(","))})
+            for line in text[1:]]
     return RunTrace(config=None, params=None, rows=rows, summary=None)
 
 
@@ -523,7 +532,10 @@ def load_grid_config(path):
         merged = {**defaults, **entry}
         if "dataset" not in merged or "method" not in merged:
             raise ValueError(f"runs[{i}] needs at least dataset and method")
-        configs.append(RunConfig.from_dict(merged))
+        try:
+            configs.append(RunConfig.from_dict(merged))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"runs[{i}]: {exc}") from None
     return configs
 
 
@@ -550,8 +562,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
             ds, sp = cache[key]
             mc = run_monte_carlo(cfg, dataset=ds, spectrum=sp)
             first = mc.first_trace
-            label = cfg.label or (f"{first.summary['dataset']}-{cfg.method}"
-                                  f"-{cfg.noise}-s{cfg.seed}")
+            label = trace_label(first)
             row.update(
                 label=label,
                 final_err=first.final_err,

@@ -27,6 +27,7 @@ Method summary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -368,18 +369,27 @@ def make_solver(method, params):
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
+def rounds(solver, shards, d, pnoise, seed):
+    """The one round loop: yields (t, state, agent_states, reply_finite)
+    for t = 0, 1, 2, ... and computes round t only when item t is asked
+    for. t = 0 is the initial state (reply_finite True); the consumer
+    decides when to stop.
+    """
+    state = solver.init_state(shards, d, pnoise, seed)
+    agent_states = solver.init_agent_states(shards)
+    yield 0, state, agent_states, True
+    for t in count():
+        state, agent_states, finite = solver.step(state, shards, agent_states, pnoise, t)
+        yield t + 1, state, agent_states, finite
+
+
 def run_rounds(solver, shards, d, n_rounds, pnoise=None, seed=0, collect=None):
     """Drive a solver for a fixed number of rounds; test helper.
 
     collect(state, t) may record whatever it wants; returns final state.
     """
-    pnoise = pnoise or NoProcessNoise()
-    state = solver.init_state(shards, d, pnoise, seed)
-    agent_states = solver.init_agent_states(shards)
-    if collect:
-        collect(state, 0)
-    for t in range(n_rounds):
-        state, agent_states, _ = solver.step(state, shards, agent_states, pnoise, t)
+    for t, state, _, _ in rounds(solver, shards, d, pnoise or NoProcessNoise(), seed):
         if collect:
-            collect(state, t + 1)
-    return state
+            collect(state, t)
+        if t >= n_rounds:
+            return state

@@ -12,6 +12,7 @@ from dlsq.noise import (
     UniformProcessNoise,
     apply_observation_noise,
     estimate_noise_level,
+    observation_eta,
     realized_l1,
     roundoff,
     stream_generator,
@@ -154,28 +155,27 @@ def test_apply_observation_noise_levels_and_determinism():
     ds = synthesize_problem(61 * 2, 6, cond=3.0, seed=0)
     shards = make_shards(ds, 2)
     model = ObservationNoise(0.25)
-    noisy, expected, realized = apply_observation_noise(shards, seed=9, model=model)
+    noisy, realized = apply_observation_noise(shards, seed=9, model=model)
 
-    assert expected == [pytest.approx(7.625)] * 2
     for sh, nsh, real in zip(shards, noisy, realized):
         w = nsh.b - sh.b
         assert np.all(np.abs(w) < 0.25)
         assert real == pytest.approx(np.abs(w).sum())
         assert np.array_equal(nsh.A, sh.A)
 
-    again, _, realized2 = apply_observation_noise(shards, seed=9, model=model)
+    again, realized2 = apply_observation_noise(shards, seed=9, model=model)
     for a, b in zip(noisy, again):
         np.testing.assert_array_equal(a.b, b.b)
     assert realized == realized2
 
-    other, _, _ = apply_observation_noise(shards, seed=10, model=model)
+    other, _ = apply_observation_noise(shards, seed=10, model=model)
     assert not np.array_equal(noisy[0].b, other[0].b)
 
 
 def test_observation_draws_differ_across_agents():
     ds = synthesize_problem(40, 4, cond=2.0, seed=1)
     shards = make_shards(ds, 2)
-    noisy, _, _ = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.1))
+    noisy, _ = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.1))
     w0 = noisy[0].b - shards[0].b
     w1 = noisy[1].b - shards[1].b
     assert not np.array_equal(w0, w1)
@@ -184,10 +184,20 @@ def test_observation_draws_differ_across_agents():
 def test_zero_half_width_is_exact():
     ds = synthesize_problem(20, 4, cond=2.0, seed=1)
     shards = make_shards(ds, 2)
-    noisy, expected, realized = apply_observation_noise(
-        shards, seed=3, model=ObservationNoise(0.0))
+    noisy, realized = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.0))
     np.testing.assert_array_equal(noisy[0].b, shards[0].b)
-    assert expected == [0.0, 0.0] and realized == [0.0, 0.0]
+    assert realized == [0.0, 0.0]
+    assert observation_eta(ObservationNoise(0.0), 20, 2) == 0.0
+
+
+def test_observation_eta_is_expected_l1_at_largest_shard():
+    # 122 rows over 2 agents: 61 rows each, 61 * 0.25 / 2
+    assert observation_eta(ObservationNoise(0.25), 122, 2) == pytest.approx(7.625)
+    # 60 rows over 7 agents: shards of 9 and 8 rows, the level is the 9-row one
+    model = ObservationNoise(0.05)
+    shards = make_shards(synthesize_problem(60, 4, cond=2.0, seed=1), 7)
+    assert observation_eta(model, 60, 7) == max(model.expected_l1(sh.n_rows) for sh in shards)
+    assert observation_eta(model, 60, 7) == model.expected_l1(9)
 
 
 def test_realized_l1_helper():

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlsq.datasets import compute_spectrum, load_dataset, synthesize_problem
+from dlsq.analysis import estimation_error
+from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.runner import (
     DEFAULT_PARAMS,
     RunConfig,
@@ -20,6 +21,7 @@ from dlsq.runner import (
     run_monte_carlo,
     trace_csv_text,
 )
+from dlsq.solvers import METHODS, make_solver, run_rounds
 
 SPEC = "synth:60,10,4.0,3"
 
@@ -120,10 +122,26 @@ def test_run_validates_method_and_noise():
     ("roundoff_decimals", -400),
     ("stop_window", 0),
     ("stop_tol", -1e-6),
+    ("method", "adam"),
+    ("noise", "adversarial"),
+    ("process_kind", "gaussian"),
+    ("m", 0),
+    ("reps", 0),
+    ("max_iters", -1),
 ])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
+
+
+def test_grid_config_error_names_the_cell(tmp_path):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({
+        "defaults": {"dataset": SPEC},
+        "runs": [{"method": "gd"}, {"method": "gd", "reps": 0}],
+    }))
+    with pytest.raises(ValueError, match=r"^runs\[1\]: reps must be >= 1"):
+        load_grid_config(grid_file)
 
 
 def test_run_config_accepts_disabled_stop_rule_and_zero_rounds():
@@ -202,6 +220,22 @@ def test_trace_emit_parse_roundtrip_json(tmp_path):
     assert back.config == trace.config
     assert back.rows == trace.rows
     assert back.summary == json.loads(json.dumps(trace.summary))
+
+
+def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
+    # the first gd step with alpha = 1e308 overflows: err and step_delta are inf
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run(cfg(method="gd", alpha=1e308))
+    assert trace.summary["stopped"] == "diverged"
+    assert trace.rows[1].err == np.inf and trace.rows[1].step_delta == np.inf
+    csv_path, json_path = emit(trace, tmp_path, basename="t")
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    obj = json.loads(json_path.read_text(), parse_constant=reject)
+    assert obj["rows"][1][1] == "inf" and obj["summary"]["final_err"] == "inf"
+    assert parse_trace(json_path).rows == parse_trace(csv_path).rows == trace.rows
 
 
 def test_trace_emit_parse_roundtrip_csv(tmp_path):
@@ -321,3 +355,29 @@ def test_process_summary_records_realized_level():
     assert noise["omega_realized_mean"] == pytest.approx(10 * 0.5e-3, rel=0.1)
     tr = run(cfg(method="ipg", noise="process"))
     assert 0.0 <= tr.summary["noise"]["omega_realized_mean"] <= tr.summary["noise"]["omega"]
+
+
+# -- one round loop -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise", [
+    {},
+    {"noise": "process", "process_kind": "uniform", "noise_level": 2e-4, "process_low": -1e-4},
+])
+@pytest.mark.parametrize("method", METHODS)
+def test_run_rounds_sees_the_errors_run_records(method, noise):
+    # run() and run_rounds() drive the solver through the same generator, so
+    # the same solver, shards and noise give the same errors bit for bit
+    config = cfg(method=method, max_iters=40, stop_tol=0.0, seed=5, **noise)
+    ds = load_dataset(SPEC)
+    params = resolve_params(config, ds.name, compute_spectrum(ds.A))
+    _, pnoise, _ = resolve_noise(config, ds.name, ds.n_cols)
+    solver = make_solver(method, params)
+    errs = []
+    run_rounds(solver, make_shards(ds, config.m), ds.n_cols, config.max_iters,
+               pnoise=pnoise, seed=config.seed,
+               collect=lambda state, t: errs.append(estimation_error(solver.iterate(state),
+                                                                     ds.x_star)))
+    rows = run(config).rows
+    assert len(rows) == config.max_iters + 1
+    assert [r.err for r in rows] == errs

@@ -170,7 +170,7 @@ def test_ipg_compressed_matches_forced_dense(observation):
     shards = make_shards(ds, 10)
     assert any(sh.cols != slice(0, d) for sh in shards)
     if observation:
-        shards, _, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
+        shards, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
     curves = []
     for variant in (shards, [replace(sh, cols=slice(0, d)) for sh in shards]):
         solver = make_solver("ipg", params)
