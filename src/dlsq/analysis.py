@@ -83,19 +83,6 @@ def gd_observation_asymptote(delta, eta, m, lambda_1):
     return delta * eta * m * math.sqrt(lambda_1)
 
 
-def observation_bound_curve(bi, horizon):
-    """Unrolled worst-case trajectory: feed the step bound its own output.
-
-    Valid because the step bound is affine with nonnegative slope in
-    z_norm. Returns an array of length horizon + 1 starting at z0.
-    """
-    z = np.empty(horizon + 1)
-    z[0] = bi.z0
-    for t in range(horizon):
-        z[t + 1] = observation_step_bound(bi, z[t], t)
-    return z
-
-
 # -- process noise ----------------------------------------------------------
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,21 +24,18 @@ from .analysis import (
     gd_observation_asymptote,
     gd_process_asymptote,
     observation_asymptote,
-    observation_bound_curve,
     process_asymptote,
-    process_error_bound,
     process_factor_limit,
     process_gates,
-    process_step_factor,
-    richardson_rate,
 )
 from .datasets import compute_spectrum, load_dataset
 from .noise import observation_eta
 from .runner import (
-    NOISE_MODES,
+    CHOICES,
     RunConfig,
     RunTrace,
     TraceRow,
+    bound_columns,
     emit,
     load_grid_config,
     resolve_noise,
@@ -47,43 +45,36 @@ from .runner import (
     strict_json_text,
     trace_csv_text,
 )
-from .solvers import METHODS
+
+FLAG_HELP = {
+    "dataset": "registry name, path to a .mtx file, or synth:rows,cols,cond[,seed]",
+    "data_dir": "directory holding the named dataset files (default ./data or $DLSQ_DATA_DIR)",
+    "m": "number of agents",
+    "noise_level": "observation half-width, or uniform process high end",
+    "label": "basename for the output files",
+}
+
+# the RunConfig fields a bound curve does not depend on
+_SIMULATION_ONLY = ("seed", "beta", "gamma", "eta_apc", "reps", "max_iters",
+                    "stop_tol", "stop_window")
 
 
-def _add_common(p):
-    p.add_argument("--dataset", required=True,
-                   help="registry name, path to a .mtx file, or synth:rows,cols,cond[,seed]")
-    p.add_argument("--data-dir", default=None,
-                   help="directory holding the named dataset files (default ./data or $DLSQ_DATA_DIR)")
-
-
-def _add_shared_args(p):
-    # the flags `run` and `bounds` resolve the same way
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--m", type=int, default=10, help="number of agents")
-    p.add_argument("--noise-level", type=float, default=None,
-                   help="observation half-width, or uniform process high end")
-    p.add_argument("--process-kind", default=None, choices=("roundoff", "uniform"))
-    p.add_argument("--process-low", type=float, default=0.0)
-    p.add_argument("--roundoff-decimals", type=int, default=4)
-
-
-def _add_run_args(p):
-    _add_common(p)
-    _add_shared_args(p)
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--noise", default="none", choices=NOISE_MODES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="runs", help="output directory for trace files")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eta-apc", type=float, default=None)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--stop-tol", type=float, default=1e-4)
-    p.add_argument("--stop-window", type=int, default=20)
-    p.add_argument("--label", default=None, help="basename for the output files")
+def _add_config_flags(p, skip=(), **overrides):
+    """A --<field> flag for every RunConfig field not in skip, with the
+    field's type, default and CHOICES; overrides maps a field to
+    add_argument keywords that replace those."""
+    types = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if f.name in skip:
+            continue
+        # None, where a field allows it, is its default and has no spelling
+        choices = tuple(c for c in CHOICES.get(f.name, ()) if c is not None)
+        kw = {"type": types[f.name], "default": f.default, "choices": choices or None,
+              "help": FLAG_HELP.get(f.name)}
+        kw.update(overrides.get(f.name, {}))
+        if kw["default"] is MISSING:
+            kw.update(default=None, required=True)
+        p.add_argument("--" + f.name.replace("_", "-"), **kw)
 
 
 def _config_from_args(args):
@@ -151,8 +142,8 @@ def cmd_spectrum(args):
 
 
 def cmd_bounds(args):
-    if args.method != "ipg":
-        raise SystemExit("bound curves are defined for --method ipg only")
+    if args.horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {args.horizon}")
     config = _config_from_args(args)
     ds = load_dataset(config.dataset, config.data_dir)
     d = ds.n_cols
@@ -183,7 +174,7 @@ def cmd_bounds(args):
         "delta": delta,
         "m": config.m,
         "d": d,
-        "rho": richardson_rate(alpha, sp.lambda_1, sp.lambda_d),
+        "rho": bi.rho,
         "eta": eta,
         "omega": omega,
         "z0": z0,
@@ -200,16 +191,22 @@ def cmd_bounds(args):
         report["asymptote"] = process_asymptote(bi)
         report["gd_asymptote"] = gd_process_asymptote(gd_step, sp.lambda_1,
                                                       sp.lambda_d, omega)
-        rows = [TraceRow(t, None, u_t=process_step_factor(bi, t) if t else None,
-                         bound_t2=process_error_bound(bi, t))
-                for t in range(args.horizon + 1)]
     else:
         # "none" is the zero-noise limit of the measurement-noise curve
         report["asymptote"] = observation_asymptote(bi)
         report["gd_asymptote"] = gd_observation_asymptote(gd_step, eta, config.m,
                                                           sp.lambda_1)
-        curve = observation_bound_curve(bi, args.horizon)
-        rows = [TraceRow(t, None, bound_t1=v if t else None) for t, v in enumerate(curve)]
+
+    # the bound columns `dlsq run` writes, along the worst case: each
+    # observation bound is the next round's error (the step bound is
+    # affine with nonnegative slope in the error)
+    columns = bound_columns(config.noise, bi)
+    rows, err = [], z0
+    for t in range(args.horizon + 1):
+        row = TraceRow(t, None, None, *columns(t, err))
+        rows.append(row)
+        if row.bound_t1 is not None:
+            err = row.bound_t1
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,7 +229,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment and write its trace")
-    _add_run_args(p_run)
+    _add_config_flags(p_run)
+    p_run.add_argument("--out", default="runs", help="output directory for trace files")
     p_run.set_defaults(fn=cmd_run)
 
     p_grid = sub.add_parser("grid", help="run a JSON-configured grid of experiments")
@@ -242,15 +240,15 @@ def build_parser():
     p_grid.set_defaults(fn=cmd_grid)
 
     p_spec = sub.add_parser("spectrum", help="report a dataset's eigen-structure")
-    _add_common(p_spec)
+    p_spec.add_argument("--dataset", required=True, help=FLAG_HELP["dataset"])
+    p_spec.add_argument("--data-dir", default=None, help=FLAG_HELP["data_dir"])
     p_spec.add_argument("--out", default=None, help="optional JSON report path")
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_bounds = sub.add_parser("bounds", help="emit theoretical bound curves, no simulation")
-    _add_common(p_bounds)
-    _add_shared_args(p_bounds)
-    p_bounds.add_argument("--method", default="ipg", choices=METHODS)
-    p_bounds.add_argument("--noise", default="observation", choices=NOISE_MODES)
+    _add_config_flags(p_bounds, skip=_SIMULATION_ONLY,
+                      method={"default": "ipg", "choices": ("ipg",)},
+                      noise={"default": "observation"})
     p_bounds.add_argument("--horizon", type=int, default=200)
     p_bounds.add_argument("--eta", type=float, default=None,
                           help="override the derived per-agent l1 measurement level")
@@ -259,7 +257,6 @@ def build_parser():
     p_bounds.add_argument("--z0", type=float, default=None,
                           help="initial error norm for the curves (default ||x*||)")
     p_bounds.add_argument("--out", default="runs")
-    p_bounds.add_argument("--label", default=None)
     p_bounds.set_defaults(fn=cmd_bounds)
 
     # stock argparse only treats plain decimals as negative numbers, so

@@ -57,9 +57,6 @@ class _RecordingProcessNoise:
             self._count += 1
         return out
 
-    def l1_bound(self, length):
-        return self._inner.l1_bound(length)
-
     @property
     def realized_mean(self):
         return self._sum / self._count if self._count else 0.0
@@ -67,8 +64,13 @@ class _RecordingProcessNoise:
 
 DIVERGENCE_NORM = 1e12
 
-NOISE_MODES = ("none", "observation", "process")
-PROCESS_KINDS = (None, "roundoff", "uniform")
+# the values a RunConfig field may take, for the fields limited to a set;
+# a process_kind of None takes the dataset's convention
+CHOICES = {
+    "method": METHODS,
+    "noise": ("none", "observation", "process"),
+    "process_kind": (None, "roundoff", "uniform"),
+}
 
 # Reference step/momentum parameters for the two named datasets.
 DEFAULT_PARAMS = {
@@ -121,8 +123,7 @@ class RunConfig:
     def __post_init__(self):
         # reject values that would otherwise fail deep inside numpy or run
         # silently wrong (written as `not >=` so NaN is rejected too)
-        for name, allowed in (("method", METHODS), ("noise", NOISE_MODES),
-                              ("process_kind", PROCESS_KINDS)):
+        for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name, low in (("m", 1), ("reps", 1), ("max_iters", 0)):
@@ -259,23 +260,18 @@ def resolve_noise(config, dataset_name, d):
 NO_BOUNDS = (None, None, None)
 
 
-def _bound_columns(config, spectrum, params, d, eta, omega, z0):
+def bound_columns(noise, bi):
     """The bound columns (bound_t1, u_t, bound_t2) of row t as a function
-    of (t, previous row's error); None for runs that carry no bounds
-    (only ipg under noise does)."""
-    if config.method != "ipg" or config.noise == "none":
-        return None
-    bi = bound_inputs_from(spectrum, m=config.m, d=d,
-                           alpha=params["alpha"], delta=params["delta"],
-                           eta=eta, omega=omega, z0=z0)
-    if config.noise == "observation":
-        def columns(t, prev_err):
-            return (observation_step_bound(bi, prev_err, t - 1), None, None) if t else NO_BOUNDS
-    else:
+    of (t, previous row's error) for a run of ipg from bi.z0 under the
+    given noise mode; "none" is the observation bound at eta = 0."""
+    if noise == "process":
         acc = ProcessBoundAccumulator(bi)
 
         def columns(t, prev_err):
             return (None, *acc.update(t)) if t else (None, None, bi.z0 + bi.omega)
+    else:
+        def columns(t, prev_err):
+            return (observation_step_bound(bi, prev_err, t - 1), None, None) if t else NO_BOUNDS
     return columns
 
 
@@ -309,7 +305,11 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     _, state, _, _ = next(steps)
     x_prev = solver.iterate(state).copy()
     err0 = estimation_error(x_prev, ds.x_star)
-    bounds = _bound_columns(config, spectrum, params, d, eta, omega, z0=err0)
+    bounds = None
+    if config.method == "ipg" and config.noise != "none":
+        bounds = bound_columns(config.noise, bound_inputs_from(
+            spectrum, m=config.m, d=d, alpha=params["alpha"], delta=params["delta"],
+            eta=eta, omega=omega, z0=err0))
     row = TraceRow(0, err0, None, *(bounds(0, None) if bounds else NO_BOUNDS))
     rows = [row]
     if on_iteration:
@@ -452,21 +452,29 @@ def trace_json_obj(trace):
     }
 
 
-def _strict_json_obj(obj):
-    """obj with every non-finite float, at any depth, replaced by its repr
-    ("inf", "-inf", "nan"), so it serializes as strict JSON."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(float(obj))
+def _map_leaves(obj, leaf):
+    """obj with leaf(v) in place of every value v, at any depth, that is
+    not a dict, list or tuple."""
     if isinstance(obj, dict):
-        return {k: _strict_json_obj(v) for k, v in obj.items()}
+        return {k: _map_leaves(v, leaf) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_strict_json_obj(v) for v in obj]
-    return obj
+        return [_map_leaves(v, leaf) for v in obj]
+    return leaf(obj)
+
+
+def _non_finite_as_text(v):
+    # strict JSON has no inf/nan: such floats are written as their repr
+    return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _text_as_non_finite(v):
+    return float(v) if isinstance(v, str) and v in ("inf", "-inf", "nan") else v
 
 
 def strict_json_text(obj):
-    """Indented, key-sorted JSON text of _strict_json_obj(obj)."""
-    return json.dumps(_strict_json_obj(obj), indent=1, sort_keys=True, allow_nan=False)
+    """Indented, key-sorted JSON text of obj, non-finite floats as strings."""
+    return json.dumps(_map_leaves(obj, _non_finite_as_text), indent=1, sort_keys=True,
+                      allow_nan=False)
 
 
 def trace_label(trace):
@@ -488,27 +496,28 @@ def emit(trace, out_dir, basename=None):
     return csv_path, json_path
 
 
-def _parse_cell(col, v):
-    # a CSV string, or a JSON value: strict JSON carries non-finite floats
-    # as strings ("inf", "nan")
+def _parse_cell(col, s):
     if col == "diverged":
-        return v in (True, "1")
-    if v is None or v == "":
+        return s == "1"
+    if s == "":
         return None
-    return int(v) if col == "t" else float(v)
+    return int(s) if col == "t" else float(s)
 
 
 def parse_trace(path):
-    """Read back an emitted trace. JSON restores config/params/summary;
-    CSV restores the rows alone."""
+    """Read back an emitted trace. JSON restores config/params/summary,
+    non-finite floats included; CSV restores the rows alone."""
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
-        rows = [TraceRow(**{c: _parse_cell(c, v) for c, v in zip(obj["columns"], vals)})
-                for vals in obj["rows"]]
-        cfg = RunConfig.from_dict(obj["config"])
-        return RunTrace(config=cfg, params=obj["params"], rows=rows,
-                        summary=obj["summary"])
+        rows = [TraceRow(**dict(zip(obj["columns"], vals)))
+                for vals in _map_leaves(obj["rows"], _text_as_non_finite)]
+        # the dataset name stays text even when its file is called inf.mtx
+        summary = {k: v if k == "dataset" else _map_leaves(v, _text_as_non_finite)
+                   for k, v in obj["summary"].items()}
+        return RunTrace(config=RunConfig.from_dict(obj["config"]),
+                        params=_map_leaves(obj["params"], _text_as_non_finite),
+                        rows=rows, summary=summary)
     text = path.read_text().splitlines()
     header = text[0].split(",")
     if tuple(header) != CSV_COLUMNS:

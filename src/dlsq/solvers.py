@@ -352,9 +352,7 @@ class APCSolver:
 def make_solver(method, params):
     """Build a solver from its resolved parameter dict."""
     if method == "ipg":
-        return IPGSolver(alpha=params["alpha"], delta=params["delta"],
-                         freeze_k=params.get("freeze_k", False),
-                         K0=params.get("K0"))
+        return IPGSolver(alpha=params["alpha"], delta=params["delta"])
     if method == "gd":
         return MomentumSolver("gd", params["alpha"])
     if method == "nag":

@@ -12,7 +12,6 @@ from dlsq.analysis import (
     gd_observation_asymptote,
     gd_process_asymptote,
     observation_asymptote,
-    observation_bound_curve,
     observation_step_bound,
     process_asymptote,
     process_error_bound,
@@ -22,6 +21,7 @@ from dlsq.analysis import (
     richardson_rate,
 )
 from dlsq.datasets import compute_spectrum, synthesize_problem
+from dlsq.runner import bound_columns
 
 
 def make_bi(**overrides):
@@ -83,9 +83,19 @@ def test_observation_step_bound_partial_delta():
     assert val == pytest.approx((1 - 0.6) * 2.0 + 0.6 * 0.3 * 5 * 1.0, rel=1e-12)
 
 
+def unrolled_observation_curve(bi, horizon):
+    # the worst-case curve `dlsq bounds` writes: each row's bound is fed
+    # back in as the next row's error
+    columns = bound_columns("observation", bi)
+    curve = [bi.z0]
+    for t in range(1, horizon + 1):
+        curve.append(columns(t, curve[-1])[0])
+    return curve
+
+
 def test_observation_curve_unrolls_step_bound():
     bi = make_bi()
-    curve = observation_bound_curve(bi, 12)
+    curve = unrolled_observation_curve(bi, 12)
     assert curve[0] == bi.z0
     for t in range(12):
         assert curve[t + 1] == pytest.approx(observation_step_bound(bi, curve[t], t))
@@ -93,7 +103,7 @@ def test_observation_curve_unrolls_step_bound():
 
 def test_observation_curve_settles_at_asymptote():
     bi = make_bi()
-    curve = observation_bound_curve(bi, 4000)
+    curve = unrolled_observation_curve(bi, 4000)
     assert curve[-1] == pytest.approx(observation_asymptote(bi), rel=1e-9)
 
 

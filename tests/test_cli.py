@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from dlsq.cli import main
-from dlsq.runner import RunConfig, run
+from dlsq.cli import _config_from_args, build_parser, main
+from dlsq.runner import RunConfig, parse_trace, run
 
 SPEC = "synth:60,10,4.0,3"
 
@@ -54,6 +54,11 @@ def test_run_invalid_config_field_exits_2(tmp_path, capsys):
     assert "stop_window" in capsys.readouterr().err
 
 
+def test_run_flag_defaults_are_run_config_defaults():
+    args = build_parser().parse_args(["run", "--dataset", "X", "--method", "gd"])
+    assert _config_from_args(args) == RunConfig("X", "gd")
+
+
 def test_run_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["run", "--dataset", SPEC, "--method", "adam", "--out", str(tmp_path)])
@@ -71,6 +76,37 @@ def test_grid_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "grid_summary.csv").exists()
     assert len(list((tmp_path / "out").glob("*-s0.csv"))) == 2
     assert "2 runs, 0 failed" in capsys.readouterr().out
+
+
+def test_grid_reports_a_failing_cell_and_exits_zero(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "defaults": {"dataset": SPEC, "m": 5, "max_iters": 50},
+        "runs": [{"method": "gd"}, {"method": "gd", "dataset": "no_such_thing", "label": "bad"}],
+    }))
+    rc = main(["grid", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "bad: ERROR FileNotFoundError" in out and "2 runs, 1 failed" in out
+    header, good, bad = (tmp_path / "out" / "grid_summary.csv").read_text().splitlines()
+    error = header.split(",").index("error")
+    assert good.split(",")[error] == ""
+    assert bad.split(",")[error].startswith("FileNotFoundError")
+
+
+def test_grid_data_dir_reaches_every_cell(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "defaults": {"dataset": "ash608", "data_dir": str(tmp_path / "elsewhere")},
+        "runs": [{"method": "gd"}, {"method": "ipg", "data_dir": str(tmp_path / "other")}],
+    }))
+    data_dir = tmp_path / "flag_dir"
+    rc = main(["grid", "--config", str(config), "--out", str(tmp_path / "out"),
+               "--data-dir", str(data_dir)])
+    assert rc == 1  # every cell failed
+    errors = [line for line in capsys.readouterr().out.splitlines() if "ERROR" in line]
+    assert len(errors) == 2
+    assert all(str(data_dir / "ash608.mtx") in line for line in errors)
 
 
 def test_grid_empty_exits_zero(tmp_path, capsys):
@@ -154,9 +190,35 @@ def test_bounds_missing_noise_level_is_reported(tmp_path, capsys, flags):
 
 
 def test_bounds_rejects_other_methods(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as ei:
         main(["bounds", "--dataset", SPEC, "--method", "gd",
               "--noise", "process", "--out", str(tmp_path)])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--noise", "observation", "--noise-level", "0.05"],
+    ["--noise", "process"],
+])
+def test_bounds_rejects_negative_horizon(tmp_path, capsys, flags):
+    rc = main(["bounds", "--dataset", SPEC, "--horizon", "-1", "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bounds_rows_equal_run_bound_columns(tmp_path):
+    trace = run(RunConfig(dataset=SPEC, method="ipg", m=5, noise="process",
+                          process_kind="uniform", noise_level=0.02, process_low=-0.01,
+                          max_iters=300, stop_tol=0.0))
+    assert not trace.summary["diverged"]
+    assert main(["bounds", "--dataset", SPEC, "--m", "5", "--noise", "process",
+                 "--omega", repr(trace.summary["noise"]["omega"]),
+                 "--z0", repr(trace.rows[0].err), "--horizon", str(len(trace.rows) - 1),
+                 "--out", str(tmp_path), "--label", "b"]) == 0
+    rows = parse_trace(tmp_path / "b.csv").rows
+    assert [r.bound_t2 for r in rows] == [r.bound_t2 for r in trace.rows]
+    assert [r.u_t for r in rows] == [r.u_t for r in trace.rows]
 
 
 def test_version_flag(capsys):

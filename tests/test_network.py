@@ -112,6 +112,17 @@ def test_duplicate_agent_ids_rejected():
                       lambda agg: None)
 
 
+def test_replies_of_different_arity_rejected():
+    ds = synthesize_problem(10, 2, cond=1.5, seed=1)
+    shards = make_shards(ds, 2)
+
+    def agent(bc, shard, ast):
+        return (np.zeros(2),) * (1 + shard.agent_id), ast
+
+    with pytest.raises(ValueError, match="different arity"):
+        execute_round((None,), shards, agent, lambda agg: None)
+
+
 def test_block_parts_add_at_their_column_span():
     shards = make_shards(load_dataset("stencil:4,4"), 4)
     assert [sh.cols for sh in shards[:2]] == [slice(0, 8), slice(0, 12)]

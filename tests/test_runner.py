@@ -238,6 +238,19 @@ def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
     assert parse_trace(json_path).rows == parse_trace(csv_path).rows == trace.rows
 
 
+def test_parse_trace_restores_non_finite_summary_and_params(tmp_path):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = run(cfg(method="gd", alpha=1e308, seed=3))
+    _, json_path = emit(trace, tmp_path, basename="t")
+    back = parse_trace(json_path)
+    assert back.summary["final_err"] == np.inf
+    assert back.summary == json.loads(json.dumps(trace.summary))
+    assert back.params == trace.params == {"alpha": 1e308}
+    s = back.summary
+    assert (s["dataset"], s["method"], s["stopped"], s["noise"]["noise"]) == (
+        "synth-60x10-c4-s3", "gd", "diverged", "none")
+
+
 def test_trace_emit_parse_roundtrip_csv(tmp_path):
     trace = run(cfg(method="nag", seed=2))
     csv_path, _ = emit(trace, tmp_path, basename="t")
