@@ -69,8 +69,7 @@ def observation_step_bound(bi, z_norm, t):
     decay = bi.rho ** (t + 1)
     contraction = 1.0 - bi.delta + bi.delta * bi.lambda_1 * bi.k0_fro * decay
     noise_transient = bi.delta * bi.eta * bi.m * math.sqrt(bi.lambda_1) * bi.k0_fro * decay
-    noise_floor = bi.delta * bi.eta * bi.m * math.sqrt(1.0 / bi.lambda_d)
-    return contraction * z_norm + noise_transient + noise_floor
+    return contraction * z_norm + noise_transient + observation_asymptote(bi)
 
 
 def observation_asymptote(bi):

@@ -144,6 +144,10 @@ def cmd_spectrum(args):
 def cmd_bounds(args):
     if args.horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {args.horizon}")
+    for flag in ("eta", "omega", "z0"):
+        v = getattr(args, flag)
+        if v is not None and not 0.0 <= v < float("inf"):
+            raise ValueError(f"--{flag} must be finite and >= 0, got {v}")
     config = _config_from_args(args)
     ds = load_dataset(config.dataset, config.data_dir)
     d = ds.n_cols

@@ -11,7 +11,7 @@ over the network. Directory resolution order: explicit argument, the
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,14 +90,6 @@ class Spectrum:
     K_star: np.ndarray
 
     @property
-    def v_1(self):
-        return self.eigenvectors[:, -1]
-
-    @property
-    def v_d(self):
-        return self.eigenvectors[:, 0]
-
-    @property
     def cond(self):
         return self.lambda_1 / self.lambda_d
 
@@ -117,7 +109,6 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DatasetInfo:
-    name: str
     shape: tuple
     observation_half_width: float
     url: str
@@ -127,13 +118,11 @@ class DatasetInfo:
 # used with each and a fetch URL for the README / error messages.
 REGISTRY = {
     "ash608": DatasetInfo(
-        name="ash608",
         shape=(608, 188),
         observation_half_width=0.25,
         url="https://sparse.tamu.edu/MM/HB/ash608.tar.gz",
     ),
     "gr_30_30": DatasetInfo(
-        name="gr_30_30",
         shape=(900, 900),
         observation_half_width=0.15,
         url="https://sparse.tamu.edu/MM/HB/gr_30_30.tar.gz",
@@ -273,7 +262,7 @@ def parse_matrix_market(source):
     return M
 
 
-def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0, x_star=None, name=None):
+def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0):
     """Random dense problem with the Gram spectrum pinned to [1, cond].
 
     Eigenvalues of A^T A are geometrically spaced, so cond(A^T A) == cond
@@ -289,15 +278,12 @@ def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0, x_star=None, name=None
     lam = np.geomspace(1.0, cond, n_cols)
     A = (U * np.sqrt(lam)) @ V.T
     A = np.ascontiguousarray(A)
-    if x_star is None:
-        x_star = np.ones(n_cols)
-    x_star = np.asarray(x_star, dtype=np.float64)
-    b = A @ x_star
-    return Dataset(name=name or f"synth-{n_rows}x{n_cols}-c{cond:g}-s{seed}",
-                   A=A, x_star=x_star, b=b)
+    x_star = np.ones(n_cols)
+    return Dataset(name=f"synth-{n_rows}x{n_cols}-c{cond:g}-s{seed}",
+                   A=A, x_star=x_star, b=A @ x_star)
 
 
-def stencil_problem(nx, ny, x_star=None):
+def stencil_problem(nx, ny):
     """9-point operator on an nx x ny grid: 8 on the diagonal, -1 on each
     of the up to 8 neighbours. It has the structure of gr_30_30 (a 30x30
     grid has the same 900 x 900 shape and 7744 nonzeros) but is an
@@ -312,24 +298,17 @@ def stencil_problem(nx, ny, x_star=None):
             src = idx[max(0, -di):nx - max(0, di), max(0, -dj):ny - max(0, dj)]
             dst = idx[max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)]
             A[src.ravel(), dst.ravel()] = 8.0 if di == dj == 0 else -1.0
-    x_star = np.ones(d) if x_star is None else np.asarray(x_star, dtype=np.float64)
+    x_star = np.ones(d)
     return Dataset(name=f"stencil-{nx}x{ny}", A=A, x_star=x_star, b=A @ x_star)
 
 
-def resolve_data_dir(data_dir=None):
-    if data_dir is not None:
-        return Path(data_dir)
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path("data")
-
-
 def dataset_path(name, data_dir=None):
-    return resolve_data_dir(data_dir) / f"{name}.mtx"
+    if data_dir is None:
+        data_dir = os.environ.get(DATA_DIR_ENV) or "data"
+    return Path(data_dir) / f"{name}.mtx"
 
 
-def load_dataset(name_or_path, data_dir=None, x_star=None):
+def load_dataset(name_or_path, data_dir=None):
     """Load a problem by registry name, .mtx path, synth:<rows>,<cols>,<cond>[,<seed>]
     or stencil:<nx>,<ny> spec."""
     s = str(name_or_path)
@@ -337,7 +316,7 @@ def load_dataset(name_or_path, data_dir=None, x_star=None):
         parts = s[len("stencil:"):].split(",")
         if len(parts) != 2:
             raise ValueError("stencil spec is stencil:<nx>,<ny>")
-        return stencil_problem(int(parts[0]), int(parts[1]), x_star=x_star)
+        return stencil_problem(int(parts[0]), int(parts[1]))
     if s.startswith("synth:"):
         parts = s[len("synth:"):].split(",")
         if len(parts) not in (3, 4):
@@ -345,7 +324,7 @@ def load_dataset(name_or_path, data_dir=None, x_star=None):
         rows, cols = int(parts[0]), int(parts[1])
         cond = float(parts[2])
         seed = int(parts[3]) if len(parts) == 4 else 0
-        return synthesize_problem(rows, cols, cond=cond, seed=seed, x_star=x_star)
+        return synthesize_problem(rows, cols, cond=cond, seed=seed)
 
     if s in REGISTRY:
         info = REGISTRY[s]
@@ -367,9 +346,7 @@ def load_dataset(name_or_path, data_dir=None, x_star=None):
         name = path.stem
 
     A = np.ascontiguousarray(A, dtype=np.float64)
-    if x_star is None:
-        x_star = np.ones(A.shape[1])
-    x_star = np.asarray(x_star, dtype=np.float64)
+    x_star = np.ones(A.shape[1])
     return Dataset(name=name, A=A, x_star=x_star, b=A @ x_star)
 
 
@@ -422,15 +399,10 @@ def reassemble(shards, n_rows, n_cols):
     return A, b
 
 
-def with_observed_b(shard, w):
-    """Shard with corrupted measurements b + w (transpose cache untouched)."""
-    return replace(shard, b=np.ascontiguousarray(shard.b + w))
-
-
-def compute_spectrum(A, rank_rtol=RANK_RTOL):
+def compute_spectrum(A):
     """Extreme eigenvalues of A^T A and its inverse.
 
-    Raises RankDeficiencyError when lambda_d <= rank_rtol * lambda_1, i.e.
+    Raises RankDeficiencyError when lambda_d <= RANK_RTOL * lambda_1, i.e.
     the observation matrix does not determine the parameters.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -438,7 +410,7 @@ def compute_spectrum(A, rank_rtol=RANK_RTOL):
     eigenvalues, eigenvectors = np.linalg.eigh(H)
     lambda_d = float(eigenvalues[0])
     lambda_1 = float(eigenvalues[-1])
-    if not (lambda_d > rank_rtol * lambda_1 and lambda_d > 0.0):
+    if not (lambda_d > RANK_RTOL * lambda_1 and lambda_d > 0.0):
         raise RankDeficiencyError(
             f"A^T A numerically singular: lambda_d={lambda_d:.3e}, "
             f"lambda_1={lambda_1:.3e}"

@@ -8,20 +8,12 @@ a single bit of the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class RoundOutcome:
-    server_state: object
-    agent_states: list
-    finite: bool
-
-
 def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
-    """Run one round.
+    """Run one round; returns (server_state, agent_states, finite), finite
+    being whether every part of the aggregated reply is finite.
 
     agent_fn(broadcast, shard, agent_state) -> (reply tuple of arrays, new agent_state)
     server_fn(aggregate tuple) -> new server state
@@ -69,5 +61,4 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
 
     aggregate = tuple(aggregate)
     finite = all(np.all(np.isfinite(part)) for part in aggregate)
-    server_state = server_fn(aggregate)
-    return RoundOutcome(server_state=server_state, agent_states=new_states, finite=finite)
+    return server_fn(aggregate), new_states, finite

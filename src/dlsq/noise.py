@@ -12,11 +12,11 @@ order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import partition_rows, with_observed_b
+from .datasets import partition_rows
 
 # stream ids for iterated variables
 STREAM_X = 1
@@ -73,15 +73,14 @@ def apply_observation_noise(shards, seed, model):
     realized = []
     for sh in shards:
         w = model.draw(seed, sh.agent_id, sh.n_rows)
-        noisy.append(with_observed_b(sh, w))
+        # the transpose cache AT does not depend on b and is kept
+        noisy.append(replace(sh, b=np.ascontiguousarray(sh.b + w)))
         realized.append(float(np.abs(w).sum()))
     return noisy, realized
 
 
 class NoProcessNoise:
     """Identity corruption; keeps solver code free of branches."""
-
-    kind = "none"
 
     def corrupt(self, v, stream, iteration):
         return v
@@ -97,7 +96,6 @@ class UniformProcessNoise:
     seed: int
     low: float
     high: float
-    kind = "uniform"
 
     def corrupt(self, v, stream, iteration):
         gen = stream_generator(self.seed, stream, iteration)
@@ -113,7 +111,6 @@ class RoundoffProcessNoise:
     """Rounds every entry to `decimals` places, half away from zero."""
 
     decimals: int = 4
-    kind = "roundoff"
 
     def corrupt(self, v, stream, iteration):
         return _round_half_away(np.asarray(v, dtype=np.float64), 10.0 ** self.decimals)
@@ -148,10 +145,3 @@ def realized_l1(before, after):
     diff = np.atleast_1d(np.subtract(after, before))
     np.abs(diff, out=diff)
     return float(diff.sum())
-
-
-def estimate_noise_level(draws):
-    """Empirical mean l1 norm over a sample of noise vectors."""
-    if len(draws) == 0:
-        raise ValueError("need at least one sample")
-    return float(np.mean([np.abs(np.asarray(w)).sum() for w in draws]))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from itertools import islice
@@ -22,7 +23,7 @@ from .analysis import (
     estimation_error,
     observation_step_bound,
 )
-from .datasets import compute_spectrum, load_dataset, make_shards
+from .datasets import REGISTRY, compute_spectrum, load_dataset, make_shards
 from .noise import (
     NoProcessNoise,
     ObservationNoise,
@@ -129,6 +130,12 @@ class RunConfig:
         for name, low in (("m", 1), ("reps", 1), ("max_iters", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        for name in ("alpha", "delta", "beta", "gamma", "eta_apc", "process_low"):
+            v = getattr(self, name)
+            if v is None and name != "process_low":
+                continue  # resolved per dataset and method by resolve_params
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.noise_level is not None and not self.noise_level >= 0:
             raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
         try:
@@ -215,8 +222,6 @@ def resolve_noise(config, dataset_name, d):
     Returns (observation_model_or_None, process_model, meta) where meta
     records kind and the per-variable l1 level the bound formulas use.
     """
-    from .datasets import REGISTRY
-
     meta = {"noise": config.noise}
     if config.noise == "none":
         return None, NoProcessNoise(), meta
@@ -301,7 +306,7 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
         pnoise = _RecordingProcessNoise(pnoise, d)
 
     solver = make_solver(config.method, params)
-    steps = rounds(solver, shards, d, pnoise, config.seed)
+    steps = rounds(solver, shards, d, pnoise)
     _, state, _, _ = next(steps)
     x_prev = solver.iterate(state).copy()
     err0 = estimation_error(x_prev, ds.x_star)
@@ -425,8 +430,11 @@ CSV_COLUMNS = ("t", "err", "step_delta", "bound_t1", "u_t", "bound_t2", "diverge
 
 
 def _fmt(v):
+    """One CSV cell; text has its commas written as ';'."""
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v.replace(",", ";")
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -571,9 +579,8 @@ def run_grid(configs, out_dir=None, emit_traces=True):
             ds, sp = cache[key]
             mc = run_monte_carlo(cfg, dataset=ds, spectrum=sp)
             first = mc.first_trace
-            label = trace_label(first)
             row.update(
-                label=label,
+                label=trace_label(first),
                 final_err=first.final_err,
                 final_err_mean=mc.mean,
                 final_err_std=mc.std,
@@ -583,7 +590,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
             )
             results.append(mc)
             if out_dir is not None and emit_traces:
-                emit(first, out_dir, basename=label)
+                emit(first, out_dir)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             row["error"] = f"{type(exc).__name__}: {exc}"
             results.append(None)
@@ -593,16 +600,6 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         lines = [",".join(GRID_COLUMNS)]
-        for row in summary_rows:
-            cells = []
-            for c in GRID_COLUMNS:
-                v = row[c]
-                if isinstance(v, float):
-                    cells.append(repr(v))
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(str(v).replace(",", ";"))
-            lines.append(",".join(cells))
+        lines += [",".join(_fmt(row[c]) for c in GRID_COLUMNS) for row in summary_rows]
         (out_dir / "grid_summary.csv").write_text("\n".join(lines) + "\n")
     return results, summary_rows

@@ -113,7 +113,7 @@ class IPGSolver:
         self.freeze_k = bool(freeze_k)
         self.K0 = K0
 
-    def init_state(self, shards, d, pnoise, seed):
+    def init_state(self, shards, d, pnoise):
         x = np.zeros(d)
         K = np.zeros((d, d)) if self.K0 is None else np.array(self.K0, dtype=np.float64)
         x = pnoise.corrupt(x, STREAM_X, 0)
@@ -150,8 +150,7 @@ class IPGSolver:
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return IPGState(x=x_next, K=K_next)
 
-        out = execute_round((state.x, state.K), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
+        return execute_round((state.x, state.K), shards, agent, server, agent_states)
 
     def iterate(self, state):
         return state.x
@@ -188,7 +187,7 @@ class MomentumSolver:
         self.beta = float(beta)
         self.beta_n = float(beta_n)
 
-    def init_state(self, shards, d, pnoise, seed):
+    def init_state(self, shards, d, pnoise):
         x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
         return MomentumState(x=x, x_prev=x.copy())
 
@@ -207,8 +206,7 @@ class MomentumSolver:
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return MomentumState(x=x_next, x_prev=state.x)
 
-        out = execute_round((y,), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
+        return execute_round((y,), shards, agent, server, agent_states)
 
     def iterate(self, state):
         return state.x
@@ -239,7 +237,7 @@ class BFGSSolver:
 
     name = "bfgs"
 
-    def init_state(self, shards, d, pnoise, seed):
+    def init_state(self, shards, d, pnoise):
         x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
         M = pnoise.corrupt(np.eye(d), STREAM_M, 0)
         return BFGSState(x=x, M=M)
@@ -268,8 +266,7 @@ class BFGSSolver:
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return BFGSState(x=x_next, M=M, x_prev=state.x, g_prev=G, skipped=skipped)
 
-        out = execute_round((state.x,), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
+        return execute_round((state.x,), shards, agent, server, agent_states)
 
     def iterate(self, state):
         return state.x
@@ -301,7 +298,7 @@ class APCSolver:
         self.gamma = float(gamma)
         self.eta = float(eta)
 
-    def init_state(self, shards, d, pnoise, seed):
+    def init_state(self, shards, d, pnoise):
         total = np.zeros(d)
         self._init_agent = []
         for sh in shards:
@@ -336,8 +333,7 @@ class APCSolver:
             xbar_next = eta * xhat + (1.0 - eta) * state.xbar
             return APCState(xbar=pnoise.corrupt(xbar_next, STREAM_XBAR, t + 1))
 
-        out = execute_round((state.xbar,), shards, agent, server, agent_states)
-        return out.server_state, out.agent_states, out.finite
+        return execute_round((state.xbar,), shards, agent, server, agent_states)
 
     def iterate(self, state):
         return state.xbar
@@ -367,13 +363,13 @@ def make_solver(method, params):
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def rounds(solver, shards, d, pnoise, seed):
+def rounds(solver, shards, d, pnoise):
     """The one round loop: yields (t, state, agent_states, reply_finite)
     for t = 0, 1, 2, ... and computes round t only when item t is asked
     for. t = 0 is the initial state (reply_finite True); the consumer
     decides when to stop.
     """
-    state = solver.init_state(shards, d, pnoise, seed)
+    state = solver.init_state(shards, d, pnoise)
     agent_states = solver.init_agent_states(shards)
     yield 0, state, agent_states, True
     for t in count():
@@ -385,8 +381,11 @@ def run_rounds(solver, shards, d, n_rounds, pnoise=None, seed=0, collect=None):
     """Drive a solver for a fixed number of rounds; test helper.
 
     collect(state, t) may record whatever it wants; returns final state.
+    seed is accepted and not read: every draw is keyed by the noise
+    model's own seed, and callers that replay a run (perfbench's stencil
+    workload) still pass that run's seed here.
     """
-    for t, state, _, _ in rounds(solver, shards, d, pnoise or NoProcessNoise(), seed):
+    for t, state, _, _ in rounds(solver, shards, d, pnoise or NoProcessNoise()):
         if collect:
             collect(state, t)
         if t >= n_rounds:

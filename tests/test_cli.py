@@ -207,6 +207,20 @@ def test_bounds_rejects_negative_horizon(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["-0.5", "inf", "nan"])
+@pytest.mark.parametrize("flag, noise", [
+    ("--eta", "observation"),
+    ("--omega", "process"),
+    ("--z0", "observation"),
+])
+def test_bounds_rejects_bad_override(tmp_path, capsys, flag, noise, value):
+    rc = main(["bounds", "--dataset", SPEC, "--noise", noise, "--noise-level", "0.05",
+               flag, value, "--out", str(tmp_path)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bounds_rows_equal_run_bound_columns(tmp_path):
     trace = run(RunConfig(dataset=SPEC, method="ipg", m=5, noise="process",
                           process_kind="uniform", noise_level=0.02, process_low=-0.01,

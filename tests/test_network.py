@@ -17,7 +17,8 @@ def sum_gradients(shards, x):
     def server(agg):
         return agg[0]
 
-    return execute_round((x,), shards, agent, server).server_state
+    G, _, _ = execute_round((x,), shards, agent, server)
+    return G
 
 
 def test_single_agent_equals_centralized(small_problem):
@@ -59,7 +60,7 @@ def test_multi_part_replies_aggregate_elementwise():
     def server(agg):
         return agg
 
-    vec, rows = execute_round((None,), shards, agent, server).server_state
+    (vec, rows), _, _ = execute_round((None,), shards, agent, server)
     np.testing.assert_array_equal(vec, np.full(3, 0.0 + 1.0 + 2.0))
     assert rows == 12
 
@@ -76,8 +77,7 @@ def test_agent_states_thread_through():
 
     states = [0, 0]
     for _ in range(3):
-        out = execute_round((None,), shards, agent, server, states)
-        states = out.agent_states
+        _, states, _ = execute_round((None,), shards, agent, server, states)
     assert states == [3, 3]
 
 
@@ -91,8 +91,8 @@ def test_finite_flag_trips_on_bad_reply():
             v[0] = np.inf
         return (v,), ast
 
-    out = execute_round((None,), shards, agent, lambda agg: agg)
-    assert not out.finite
+    _, _, finite = execute_round((None,), shards, agent, lambda agg: agg)
+    assert not finite
 
 
 def test_mismatched_agent_state_count_rejected():
@@ -135,7 +135,7 @@ def test_block_parts_add_at_their_column_span():
         block = np.full((w, 2), float(shard.agent_id + 1))
         return (np.ones(16), block, 1.0), ast
 
-    vec, mat, count = execute_round((None,), shards[::-1], agent, lambda agg: agg).server_state
+    (vec, mat, count), _, _ = execute_round((None,), shards[::-1], agent, lambda agg: agg)
     np.testing.assert_array_equal(vec, np.full(16, 4.0))
     want = np.zeros((16, 2))
     for sh in shards:

@@ -11,7 +11,6 @@ from dlsq.noise import (
     STREAM_X,
     UniformProcessNoise,
     apply_observation_noise,
-    estimate_noise_level,
     observation_eta,
     realized_l1,
     roundoff,
@@ -72,7 +71,7 @@ def test_roundoff_mean_error_quarter_quantum(rng):
     for _ in range(400):
         v = rng.uniform(-1, 1, d)
         samples.append(model.corrupt(v, STREAM_X, 0) - v)
-    level = estimate_noise_level(samples)
+    level = float(np.mean([np.abs(w).sum() for w in samples]))
     assert level == pytest.approx(188 * 0.25e-4, rel=0.05)
 
 
@@ -140,12 +139,6 @@ def test_observation_expected_l1_61_rows():
 def test_uniform_process_l1_bound_gr_convention():
     model = UniformProcessNoise(seed=0, low=0.0, high=5e-5)
     assert model.l1_bound(900) == pytest.approx(0.0225)
-
-
-def test_estimate_noise_level_validates():
-    assert estimate_noise_level([np.zeros(3), np.zeros(3)]) == 0.0
-    with pytest.raises(ValueError):
-        estimate_noise_level([])
 
 
 # -- observation application --------------------------------------------------

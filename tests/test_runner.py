@@ -128,6 +128,14 @@ def test_run_validates_method_and_noise():
     ("m", 0),
     ("reps", 0),
     ("max_iters", -1),
+    ("alpha", float("inf")),
+    ("alpha", "0.1"),
+    ("delta", float("-inf")),
+    ("beta", True),
+    ("gamma", float("nan")),
+    ("eta_apc", float("inf")),
+    ("process_low", float("nan")),
+    ("process_low", None),
 ])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -212,14 +220,21 @@ def test_identical_configs_give_identical_bytes():
     assert a == b
 
 
-def test_trace_emit_parse_roundtrip_json(tmp_path):
-    c = cfg(method="ipg", noise="process", seed=5)
-    trace = run(c)
+@pytest.mark.parametrize("noise", [
+    dict(noise="none"),
+    dict(noise="observation", noise_level=0.05),
+    dict(noise="process", process_kind="roundoff"),
+    dict(noise="process", process_kind="uniform", process_low=-1e-4, noise_level=2e-4),
+])
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
+    trace = run(cfg(method=method, seed=5, **noise))
     _, json_path = emit(trace, tmp_path, basename="t")
     back = parse_trace(json_path)
     assert back.config == trace.config
+    assert back.params == trace.params
     assert back.rows == trace.rows
-    assert back.summary == json.loads(json.dumps(trace.summary))
+    assert back.summary == trace.summary
 
 
 def test_trace_json_is_strict_for_non_finite_rows(tmp_path):

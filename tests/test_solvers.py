@@ -134,8 +134,9 @@ def test_r_matrix_block_is_the_span_rows_of_the_dense_residual(rng):
 def summed_residuals(shards, K, d):
     """Server view of one ipg round: placed blocks plus the left-out diagonal."""
     m = len(shards)
-    R = execute_round((K,), shards, lambda bc, sh, a: ((agent_r_matrix(sh, bc[0], m),), a),
-                      lambda agg: agg[0]).server_state
+    R, _, _ = execute_round((K,), shards,
+                            lambda bc, sh, a: ((agent_r_matrix(sh, bc[0], m),), a),
+                            lambda agg: agg[0])
     R.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
     return R
 
@@ -232,7 +233,7 @@ def test_ipg_fixed_point_is_stationary(small_problem):
     solver = IPGSolver(alpha=0.2, delta=1.0, K0=sp.K_star)
     shards = make_shards(ds, 5)
     pn = NoProcessNoise()
-    state = solver.init_state(shards, ds.n_cols, pn, 0)
+    state = solver.init_state(shards, ds.n_cols, pn)
     state = type(state)(x=ds.x_star.copy(), K=state.K)
     agent_states = solver.init_agent_states(shards)
     for t in range(3):
@@ -249,7 +250,7 @@ def test_preconditioner_columns_contract_at_richardson_rate(small_problem):
     solver = IPGSolver(alpha=alpha, delta=1.0)
     shards = make_shards(ds, 5)
     pn = NoProcessNoise()
-    state = solver.init_state(shards, ds.n_cols, pn, 0)
+    state = solver.init_state(shards, ds.n_cols, pn)
     agent_states = solver.init_agent_states(shards)
     prev = np.linalg.norm(state.K - sp.K_star, axis=0)
     for t in range(40):
@@ -419,7 +420,7 @@ def test_apc_iterates_stay_in_local_solution_sets(small_problem):
     solver = make_solver("apc", {"gamma": 1.05, "eta_apc": 2.0})
     shards = make_shards(ds, m)
     pn = NoProcessNoise()
-    state = solver.init_state(shards, ds.n_cols, pn, 0)
+    state = solver.init_state(shards, ds.n_cols, pn)
     agent_states = solver.init_agent_states(shards)
     for t in range(15):
         state, agent_states, _ = solver.step(state, shards, agent_states, pn, t)
@@ -432,7 +433,7 @@ def test_apc_init_agent_states_can_be_fetched_twice(small_problem):
     solver = make_solver("apc", {"gamma": 1.02, "eta_apc": 1.5})
     shards = make_shards(ds, 3)
     pn = NoProcessNoise()
-    state = solver.init_state(shards, ds.n_cols, pn, 0)
+    state = solver.init_state(shards, ds.n_cols, pn)
     first = solver.init_agent_states(shards)
     second = solver.init_agent_states(shards)
     assert second is not None and len(second) == len(shards)
@@ -475,7 +476,7 @@ def test_process_noise_corrupts_initial_state():
     pn = UniformProcessNoise(seed=3, low=0.0, high=0.5)
     solver = make_solver("ipg", {"alpha": 0.1, "delta": 1.0})
     shards = make_shards(ds, 1)
-    state = solver.init_state(shards, 2, pn, 3)
+    state = solver.init_state(shards, 2, pn)
     assert np.all(state.x > 0.0) and np.all(state.x < 0.5)
     assert np.all(state.K > 0.0) and np.all(state.K < 0.5)
 
