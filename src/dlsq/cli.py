@@ -14,7 +14,6 @@ import re
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .datasets import compute_spectrum, load_dataset
 from .noise import observation_eta
 from .runner import (
     CHOICES,
+    FIELD_TYPES,
     RunConfig,
     RunTrace,
     TraceRow,
@@ -63,13 +63,12 @@ def _add_config_flags(p, skip=(), **overrides):
     """A --<field> flag for every RunConfig field not in skip, with the
     field's type, default and CHOICES; overrides maps a field to
     add_argument keywords that replace those."""
-    types = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         if f.name in skip:
             continue
         # None, where a field allows it, is its default and has no spelling
         choices = tuple(c for c in CHOICES.get(f.name, ()) if c is not None)
-        kw = {"type": types[f.name], "default": f.default, "choices": choices or None,
+        kw = {"type": FIELD_TYPES[f.name], "default": f.default, "choices": choices or None,
               "help": FLAG_HELP.get(f.name)}
         kw.update(overrides.get(f.name, {}))
         if kw["default"] is MISSING:

@@ -9,10 +9,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -73,6 +75,17 @@ CHOICES = {
     "process_kind": (None, "roundoff", "uniform"),
 }
 
+# closed (low, high) ranges of the numeric RunConfig fields, None unbounded:
+# a seed keys a uint64 Philox stream, islice stops at sys.maxsize, and
+# round-off at d decimals needs 10.0**d and 10.0**-d finite and positive
+RANGES = {"seed": (0, 2**64 - 1), "m": (1, None), "reps": (1, None), "stop_window": (1, None),
+          "max_iters": (0, sys.maxsize), "noise_level": (0, None), "stop_tol": (0, None),
+          "roundoff_decimals": (-308, 308)}
+
+# what a field of each annotated type admits (never a bool), as an error names it
+_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+           str: (str, "a string")}
+
 # Reference step/momentum parameters for the two named datasets.
 DEFAULT_PARAMS = {
     ("ash608", "ipg"): {"alpha": 0.1163, "delta": 1.0},
@@ -123,35 +136,22 @@ class RunConfig:
 
     def __post_init__(self):
         # reject values that would otherwise fail deep inside numpy or run
-        # silently wrong (written as `not >=` so NaN is rejected too)
-        for name, allowed in CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name, low in (("m", 1), ("reps", 1), ("max_iters", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        for name in ("alpha", "delta", "beta", "gamma", "eta_apc", "process_low"):
-            v = getattr(self, name)
-            if v is None and name != "process_low":
-                continue  # resolved per dataset and method by resolve_params
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.noise_level is not None and not self.noise_level >= 0:
-            raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
-        try:
-            scale = 10.0 ** self.roundoff_decimals
-        except (OverflowError, TypeError):
-            scale = 0.0
-        if not 0.0 < scale < float("inf"):
-            raise ValueError(f"roundoff_decimals={self.roundoff_decimals!r}: "
-                             "10.0**roundoff_decimals must be a finite positive float")
-        if not self.stop_window >= 1:
-            raise ValueError(f"stop_window must be >= 1, got {self.stop_window!r}")
-        if not self.stop_tol >= 0:
-            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol!r}")
-
-    def to_dict(self):
-        return asdict(self)
+        # silently wrong; each field's rule comes from its annotation
+        for f in fields(self):
+            name, v = f.name, getattr(self, f.name)
+            if name in CHOICES:
+                if v not in CHOICES[name]:
+                    raise ValueError(f"{name} must be one of {CHOICES[name]}, got {v!r}")
+            elif v is not None or f.default is not None:  # a None default: chosen per run
+                admits, what = _ADMITS[FIELD_TYPES[name]]
+                if (isinstance(v, bool) or not isinstance(v, admits)
+                        or admits is numbers.Real and not math.isfinite(v)):
+                    raise ValueError(f"{name} must be {what}, got {v!r}")
+                low, high = RANGES.get(name, (None, None))
+                if low is not None and v < low:
+                    raise ValueError(f"{name} must be >= {low}, got {v!r}")
+                if high is not None and v > high:
+                    raise ValueError(f"{name} must be <= {high}, got {v!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -159,6 +159,9 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
+
+
+FIELD_TYPES = get_type_hints(RunConfig)  # each field's type, for checking and CLI parsing
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,9 @@ def resolve_noise(config, dataset_name, d):
         model = RoundoffProcessNoise(decimals=config.roundoff_decimals)
         meta.update(kind="roundoff", decimals=config.roundoff_decimals)
     else:
-        if level is None:
-            raise ValueError("uniform process noise needs a noise_level (high end)")
+        if level is None or config.process_low > level:
+            raise ValueError("uniform process noise needs a noise_level (high end) >= "
+                             f"process_low={config.process_low!r}, got {level!r}")
         model = UniformProcessNoise(seed=config.seed, low=config.process_low,
                                     high=float(level))
         meta.update(kind="uniform", low=config.process_low, high=float(level))
@@ -451,7 +455,7 @@ def trace_csv_text(trace):
 
 def trace_json_obj(trace):
     return {
-        "config": trace.config.to_dict(),
+        "config": asdict(trace.config),
         "params": {k: (float(v) if isinstance(v, (int, float)) else v)
                    for k, v in trace.params.items()},
         "summary": trace.summary,
@@ -546,11 +550,8 @@ def load_grid_config(path):
         raise ValueError("grid config needs a 'runs' list")
     configs = []
     for i, entry in enumerate(runs):
-        merged = {**defaults, **entry}
-        if "dataset" not in merged or "method" not in merged:
-            raise ValueError(f"runs[{i}] needs at least dataset and method")
         try:
-            configs.append(RunConfig.from_dict(merged))
+            configs.append(RunConfig.from_dict({**defaults, **entry}))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"runs[{i}]: {exc}") from None
     return configs

@@ -105,8 +105,6 @@ class IPGSolver:
     tests rely on.
     """
 
-    name = "ipg"
-
     def __init__(self, alpha, delta, freeze_k=False, K0=None):
         self.alpha = float(alpha)
         self.delta = float(delta)
@@ -181,8 +179,7 @@ class MomentumSolver:
     every trace.
     """
 
-    def __init__(self, name, alpha, beta=0.0, beta_n=0.0):
-        self.name = name
+    def __init__(self, alpha, beta=0.0, beta_n=0.0):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.beta_n = float(beta_n)
@@ -234,8 +231,6 @@ class BFGSSolver:
     corrupted) iterate sequence; when s.y <= 0 the update is skipped and
     the round index recorded.
     """
-
-    name = "bfgs"
 
     def init_state(self, shards, d, pnoise):
         x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
@@ -291,8 +286,6 @@ class APCSolver:
     set (movement happens in the null space of A_i) while the server
     mixes the fresh average with its previous estimate.
     """
-
-    name = "apc"
 
     def __init__(self, gamma, eta):
         self.gamma = float(gamma)
@@ -350,12 +343,11 @@ def make_solver(method, params):
     if method == "ipg":
         return IPGSolver(alpha=params["alpha"], delta=params["delta"])
     if method == "gd":
-        return MomentumSolver("gd", params["alpha"])
+        return MomentumSolver(params["alpha"])
     if method == "nag":
-        return MomentumSolver("nag", params["alpha"], beta=params["beta"],
-                              beta_n=params["beta"])
+        return MomentumSolver(params["alpha"], beta=params["beta"], beta_n=params["beta"])
     if method == "hbm":
-        return MomentumSolver("hbm", params["alpha"], beta=params["beta"])
+        return MomentumSolver(params["alpha"], beta=params["beta"])
     if method == "apc":
         return APCSolver(gamma=params["gamma"], eta=params["eta_apc"])
     if method == "bfgs":

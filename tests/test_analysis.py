@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlsq.analysis import (
     BoundInputs,
@@ -211,6 +213,39 @@ def test_process_error_bound_survives_huge_transients(bi, diverges):
 def test_accumulator_matches_closed_form(bi, horizon):
     acc = ProcessBoundAccumulator(bi)
     for t in range(1, horizon):
+        u, b = acc.update(t)
+        assert u == pytest.approx(process_step_factor(bi, t), rel=1e-12)
+        assert b == pytest.approx(process_error_bound(bi, t), rel=1e-9)
+
+
+@st.composite
+def process_bound_inputs(draw, gates_hold):
+    """BoundInputs whose omega is a drawn fraction of the gates' limit:
+    below 1 the process gates hold, above 1 they fail."""
+    d = draw(st.integers(1, 400))
+    lambda_d = draw(st.floats(0.01, 10.0))
+    lambda_1 = lambda_d * draw(st.floats(1.0, 100.0))
+    rho = draw(st.floats(0.0, 0.99))
+    k0_spec = draw(st.floats(0.01, 10.0))
+    # omega < omega_bound, and rho < rho_bound <=> omega < k0_spec (1 - rho) / (rho sqrt d)
+    limit = (1.0 - rho) / (lambda_1 * math.sqrt(d))
+    if rho > 0.0:
+        limit = min(limit, k0_spec * (1.0 - rho) / (rho * math.sqrt(d)))
+    frac = draw(st.floats(0.05, 0.95) if gates_hold else st.floats(1.05, 20.0))
+    return BoundInputs(m=draw(st.integers(1, 50)), d=d, delta=draw(st.floats(0.05, 1.0)),
+                       rho=rho, lambda_1=lambda_1, lambda_d=lambda_d, omega=frac * limit,
+                       k0_fro=k0_spec * draw(st.floats(1.0, 10.0)), k0_spec=k0_spec,
+                       z0=draw(st.floats(0.0, 100.0)))
+
+
+@pytest.mark.parametrize("gates_hold", [True, False], ids=["gates-hold", "gates-fail"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_accumulator_matches_closed_form_at_every_round(gates_hold, data):
+    bi = data.draw(process_bound_inputs(gates_hold))
+    assert process_gates(bi)[2] == gates_hold
+    acc = ProcessBoundAccumulator(bi)
+    for t in range(1, 61):
         u, b = acc.update(t)
         assert u == pytest.approx(process_step_factor(bi, t), rel=1e-12)
         assert b == pytest.approx(process_error_bound(bi, t), rel=1e-9)

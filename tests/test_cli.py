@@ -54,6 +54,13 @@ def test_run_invalid_config_field_exits_2(tmp_path, capsys):
     assert "stop_window" in capsys.readouterr().err
 
 
+def test_run_negative_seed_exits_2(tmp_path, capsys):
+    rc = main(["run", "--dataset", SPEC, "--method", "gd", "--noise", "observation",
+               "--noise-level", "0.05", "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_run_flag_defaults_are_run_config_defaults():
     args = build_parser().parse_args(["run", "--dataset", "X", "--method", "gd"])
     assert _config_from_args(args) == RunConfig("X", "gd")

@@ -1,8 +1,10 @@
 """Round execution: aggregation order, identities against centralized math."""
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.network import execute_round
@@ -155,3 +157,17 @@ def test_ipg_on_shuffled_stencil_shards_is_bit_exact(rng):
               for order in (shards, shuffled)]
     assert np.array_equal(finals[0].x, finals[1].x)
     assert np.array_equal(finals[0].K, finals[1].K)
+
+
+@pytest.mark.parametrize("method", ["ipg", "gd", "apc"])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(order=st.permutations(range(5)))
+def test_final_state_invariant_to_shard_order(method, order):
+    ds = load_dataset("synth:60,10,4,3")
+    params = resolve_params(RunConfig(dataset=ds.name, method=method), ds.name,
+                            compute_spectrum(ds.A))
+    shards = make_shards(ds, 5)
+    finals = [run_rounds(make_solver(method, params), s, ds.n_cols, 30)
+              for s in (shards, [shards[i] for i in order])]
+    for a, b in zip(astuple(finals[0]), astuple(finals[1]), strict=True):
+        assert np.array_equal(a, b)

@@ -1,9 +1,11 @@
 """Run orchestration: parameter defaults, stop rule, traces, grids."""
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlsq.analysis import estimation_error
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
@@ -136,10 +138,44 @@ def test_run_validates_method_and_noise():
     ("eta_apc", float("inf")),
     ("process_low", float("nan")),
     ("process_low", None),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", 2**64),
+    ("noise_level", float("inf")),
+    ("m", 2.5),
+    ("m", True),
+    ("reps", 2.0),
+    ("max_iters", 1.5),
+    ("max_iters", 10**20),
+    ("stop_window", 2.5),
+    ("roundoff_decimals", 4.0),
+    ("roundoff_decimals", 309),
+    ("roundoff_decimals", -309),
 ])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
+
+
+@pytest.mark.parametrize("kw", [
+    dict(seed=2**64 - 1),
+    dict(roundoff_decimals=308),
+    dict(roundoff_decimals=-308),
+    dict(seed=np.int64(3), m=np.int64(4), reps=np.int32(2), alpha=np.float64(0.1),
+         noise_level=np.float32(0.5), stop_tol=np.float64(0.0)),
+])
+def test_run_config_accepts_range_ends_and_numpy_numbers(kw):
+    c = cfg(**kw)
+    assert all(getattr(c, k) == v for k, v in kw.items())
+
+
+def test_uniform_noise_rejects_empty_range_naming_both_fields():
+    c = cfg(noise="process", process_kind="uniform", process_low=0.5, noise_level=0.1)
+    with pytest.raises(ValueError, match=r"noise_level.*process_low=0\.5, got 0\.1"):
+        resolve_noise(c, "x", 10)
+    # the high end may come from the dataset's convention (apc on ash608: 5e-5)
+    with pytest.raises(ValueError, match="process_low"):
+        resolve_noise(cfg(noise="process", method="apc", process_low=1e-4), "ash608", 188)
 
 
 def test_grid_config_error_names_the_cell(tmp_path):
@@ -218,6 +254,28 @@ def test_identical_configs_give_identical_bytes():
     a = trace_csv_text(run(c))
     b = trace_csv_text(run(c))
     assert a == b
+
+
+def without_wall_time(summary):
+    return {k: v for k, v in summary.items() if k != "wall_time_s"}
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rep=st.integers(0, 2),
+       method=st.sampled_from(["ipg", "gd"]),
+       noise=st.sampled_from([dict(noise="observation", noise_level=0.05),
+                              dict(noise="process", process_kind="uniform", noise_level=1e-3)]))
+def test_monte_carlo_rep_is_a_single_run_at_its_seed(seed, rep, method, noise):
+    c = cfg(method=method, seed=seed, reps=3, max_iters=30, stop_tol=0.0, **noise)
+    mc = run_monte_carlo(c)
+    single = run(replace(c, seed=rep_seed(c.seed, rep), reps=1))
+    assert mc.final_errs[rep] == single.final_err
+    assert without_wall_time(mc.summaries[rep]) == without_wall_time(single.summary)
+    again = run_monte_carlo(c)
+    assert np.array_equal(again.final_errs, mc.final_errs)
+    assert again.first_trace.rows == mc.first_trace.rows
+    assert [without_wall_time(s) for s in again.summaries] == [
+        without_wall_time(s) for s in mc.summaries]
 
 
 @pytest.mark.parametrize("noise", [
@@ -357,7 +415,7 @@ def test_grid_config_validation(tmp_path):
 
 def test_config_roundtrip_dict():
     c = cfg(noise="process", seed=3, label="x")
-    assert RunConfig.from_dict(c.to_dict()) == c
+    assert RunConfig.from_dict(asdict(c)) == c
 
 
 def test_observation_summary_records_noise_levels():
