@@ -152,6 +152,8 @@ class RunConfig:
                     raise ValueError(f"{name} must be >= {low}, got {v!r}")
                 if high is not None and v > high:
                     raise ValueError(f"{name} must be <= {high}, got {v!r}")
+                # a numpy scalar is kept as the built-in type, which JSON writes
+                object.__setattr__(self, name, FIELD_TYPES[name](v))
 
     @classmethod
     def from_dict(cls, d):

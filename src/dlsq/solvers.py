@@ -49,20 +49,38 @@ def agent_gradient(shard, x):
     return np.dot(shard.AT, np.dot(shard.A, x) - shard.b)
 
 
-def agent_r_matrix(shard, K, m):
+def agent_r_matrix(shard, K, m, gram=None):
     """Rows shard.cols of the agent's preconditioner residuals, one column
     per basis vector: R_i = A_i^T A_i K - (1/m) I.
 
     A_i is zero outside its column span, so the other rows of R_i are just
-    -e_j^T / m; the server puts those back (left_out_diagonal). For a full
-    span every operand is the same buffer with the same strides as the
-    unsliced arrays, so the products round exactly as before.
+    -e_j^T / m; the server puts those back (left_out_diagonal). Without
+    gram the block is A_i^T (A_i K); for a full span every operand is then
+    the same buffer with the same strides as the unsliced arrays, so the
+    products round exactly as before. With the agent's local Gram block
+    (local_gram) it is gram K[cols], the same sum in another order.
     """
     c = shard.cols
-    R = np.dot(shard.AT[c], np.dot(shard.A[:, c], K[c]))
+    if gram is None:
+        R = np.dot(shard.AT[c], np.dot(shard.A[:, c], K[c]))
+    else:
+        R = np.dot(gram, K[c])
     # subtract I/m on the block's diagonal without allocating an identity
     R.ravel()[c.start :: R.shape[1] + 1] -= 1.0 / m
     return R
+
+
+def local_gram(shard):
+    """(A_i^T A_i)[cols, cols] where multiplying K by it is cheaper, else None.
+
+    For a span of s columns and n_i rows, A_i^T (A_i K[cols]) costs
+    4 n_i s d flops a round and gram K[cols] costs 2 s^2 d, so the block
+    is formed, once, exactly when s < 2 n_i.
+    """
+    c = shard.cols
+    if c.stop - c.start >= 2 * shard.n_rows:
+        return None
+    return np.dot(shard.AT[c], shard.A[:, c])
 
 
 def left_out_diagonal(shards, d):
@@ -117,22 +135,26 @@ class IPGSolver:
         x = pnoise.corrupt(x, STREAM_X, 0)
         if not self.freeze_k:
             K = pnoise.corrupt(K, STREAM_K, 0)
+        # the spans are fixed for the run, so the server's diagonal is too
+        self._left_out = left_out_diagonal(shards, d)
         return IPGState(x=x, K=K)
 
     def init_agent_states(self, shards):
-        return None
+        # each agent's local Gram block, or None where its two products
+        # are cheaper; agents hand it back unchanged every round
+        return [local_gram(sh) for sh in shards]
 
     def step(self, state, shards, agent_states, pnoise, t):
         m = len(shards)
         d = state.x.shape[0]
         alpha, delta, freeze = self.alpha, self.delta, self.freeze_k
 
-        def agent(bc, shard, ast):
+        def agent(bc, shard, gram):
             x, K = bc
             g = agent_gradient(shard, x)
             if freeze:
-                return (g,), ast
-            return (g, agent_r_matrix(shard, K, m)), ast
+                return (g,), gram
+            return (g, agent_r_matrix(shard, K, m, gram)), gram
 
         def server(agg):
             if freeze:
@@ -141,9 +163,12 @@ class IPGSolver:
             else:
                 G, R_sum = agg
                 # subtracting 0.0 on full spans leaves every bit unchanged
-                R_sum.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
-                K_next = state.K - alpha * R_sum
-                K_next = pnoise.corrupt(K_next, STREAM_K, t + 1)
+                R_sum.ravel()[:: d + 1] -= self._left_out
+                # K - alpha R_sum in the aggregate's own fresh buffer:
+                # negation is exact, so K + (-(alpha R_sum)) has the same bits
+                R_sum *= -alpha
+                R_sum += state.K
+                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
             x_next = state.x - delta * (K_next @ G)
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return IPGState(x=x_next, K=K_next)

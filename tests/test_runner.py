@@ -286,13 +286,21 @@ def test_monte_carlo_rep_is_a_single_run_at_its_seed(seed, rep, method, noise):
 ])
 @pytest.mark.parametrize("method", METHODS)
 def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
-    trace = run(cfg(method=method, seed=5, **noise))
-    _, json_path = emit(trace, tmp_path, basename="t")
-    back = parse_trace(json_path)
-    assert back.config == trace.config
-    assert back.params == trace.params
-    assert back.rows == trace.rows
-    assert back.summary == trace.summary
+    config = cfg(method=method, seed=5, **noise)
+    # numpy scalars pass RunConfig and are kept as built-in int and float
+    numeric = {f: v for f, v in asdict(config).items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    as_numpy = RunConfig(**{**asdict(config), **{
+        f: np.int64(v) if isinstance(v, int) else np.float32(v) for f, v in numeric.items()}})
+    assert all(type(getattr(as_numpy, f)) is type(v) for f, v in numeric.items())
+    for c in (config, as_numpy):
+        trace = run(c)
+        _, json_path = emit(trace, tmp_path, basename="t")
+        back = parse_trace(json_path)
+        assert back.config == trace.config
+        assert back.params == trace.params
+        assert back.rows == trace.rows
+        assert back.summary == trace.summary
 
 
 def test_trace_json_is_strict_for_non_finite_rows(tmp_path):

@@ -131,12 +131,19 @@ def test_r_matrix_block_is_the_span_rows_of_the_dense_residual(rng):
         assert np.array_equal(dense[off], -np.eye(d)[off] / m)
 
 
-def summed_residuals(shards, K, d):
-    """Server view of one ipg round: placed blocks plus the left-out diagonal."""
+def gram_block(shard):
+    """(A_i^T A_i)[cols, cols], from the shard's dense rows."""
+    A_s = shard.A[:, shard.cols]
+    return A_s.T @ A_s
+
+
+def summed_residuals(shards, K, d, grams=None):
+    """Server view of one ipg round: placed blocks plus the left-out diagonal.
+    grams aligns with shards (None: every agent takes the two products)."""
     m = len(shards)
     R, _, _ = execute_round((K,), shards,
-                            lambda bc, sh, a: ((agent_r_matrix(sh, bc[0], m),), a),
-                            lambda agg: agg[0])
+                            lambda bc, sh, gram: ((agent_r_matrix(sh, bc[0], m, gram),), gram),
+                            lambda agg: agg[0], grams)
     R.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
     return R
 
@@ -154,12 +161,25 @@ def test_compressed_residual_sum_equals_dense_sum(d, rows_per_col, band, m_frac,
     m = 1 + int(m_frac * (n - 1))
     shards = make_shards(ds, m)
     K = rng.standard_normal((d, d))
-    R = summed_residuals(shards, K, d)
     dense = sum(dense_r_matrix(sh, K, m) for sh in shards)
-    np.testing.assert_allclose(R, dense, rtol=0, atol=1e-12 * max(1.0, np.abs(dense).max()))
     shuffled = list(shards)
     rng.shuffle(shuffled)
-    assert np.array_equal(summed_residuals(shuffled, K, d), R)
+    # the two-product route and the Gram route for every agent
+    for grams in (None, [gram_block(sh) for sh in shards]):
+        R = summed_residuals(shards, K, d, grams)
+        np.testing.assert_allclose(R, dense, rtol=0, atol=1e-12 * max(1.0, np.abs(dense).max()))
+        shuffled_grams = None if grams is None else [gram_block(sh) for sh in shuffled]
+        assert np.array_equal(summed_residuals(shuffled, K, d, shuffled_grams), R)
+
+
+def test_local_gram_only_where_it_saves_flops():
+    # |span| = 188 >= 2 n_i = 122: the two products; |span| <= 150 < 180: the Gram block
+    solver = IPGSolver(alpha=0.1, delta=1.0)
+    dense = make_shards(load_dataset("synth:608,188,10,3"), 10)
+    assert solver.init_agent_states(dense) == [None] * 10
+    stencil = make_shards(load_dataset("stencil:30,30"), 10)
+    for sh, gram in zip(stencil, solver.init_agent_states(stencil)):
+        assert np.array_equal(gram, np.dot(sh.AT[sh.cols], sh.A[:, sh.cols]))
 
 
 @pytest.mark.parametrize("observation", [False, True])
@@ -168,21 +188,41 @@ def test_ipg_compressed_matches_forced_dense(observation):
     d = ds.n_cols
     params = resolve_params(RunConfig(dataset=ds.name, method="ipg"), ds.name,
                             compute_spectrum(ds.A))
-    shards = make_shards(ds, 10)
-    assert any(sh.cols != slice(0, d) for sh in shards)
-    if observation:
-        shards, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
-    curves = []
-    for variant in (shards, [replace(sh, cols=slice(0, d)) for sh in shards]):
-        solver = make_solver("ipg", params)
-        errs = []
-        # 40 rounds keep the error far above the 1e-15 absolute roundoff
-        # gap that the reordered diagonal sum leaves between the two paths
-        run_rounds(solver, variant, d, 40, collect=lambda state, t: errs.append(
-            estimation_error(solver.iterate(state), ds.x_star)))
-        curves.append(np.array(errs))
-    compressed, dense = curves
-    assert np.all(np.abs(compressed - dense) <= 1e-12 * dense)
+    # m = 10: narrowed two products against full-span two products;
+    # m = 2: spans of 40 < 2 n_i = 64 columns take the Gram route, and the
+    # full span of 64 columns keeps the two products
+    for m in (10, 2):
+        shards = make_shards(ds, m)
+        assert any(sh.cols != slice(0, d) for sh in shards)
+        if observation:
+            shards, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
+        assert [g is None for g in make_solver("ipg", params).init_agent_states(shards)] == (
+            [m == 10] * m)
+        curves = []
+        for variant in (shards, [replace(sh, cols=slice(0, d)) for sh in shards]):
+            solver = make_solver("ipg", params)
+            errs = []
+            # 40 rounds keep the error far above the 1e-15 absolute roundoff
+            # gap that the reordered sums leave between the two paths
+            run_rounds(solver, variant, d, 40, collect=lambda state, t: errs.append(
+                estimation_error(solver.iterate(state), ds.x_star)))
+            curves.append(np.array(errs))
+        compressed, dense = curves
+        assert np.all(np.abs(compressed - dense) <= 1e-12 * dense)
+        assert np.all(np.abs(compressed - dense) <= 1e-14 * dense[0])
+
+
+def test_ipg_keeps_every_yielded_state():
+    # the server refines K in the round's aggregate buffer: a state handed
+    # to collect / on_iteration must not change when later rounds run
+    ds = load_dataset("stencil:8,8")
+    solver = make_solver("ipg", {"alpha": 0.05, "delta": 1.0})
+    kept = []
+    run_rounds(solver, make_shards(ds, 2), ds.n_cols, 6,
+               collect=lambda state, t: kept.append((state, state.K.copy(), state.x.copy())))
+    assert len(kept) == 7
+    for state, K, x in kept:
+        assert np.array_equal(state.K, K) and np.array_equal(state.x, x)
 
 
 def test_ipg_run_completes_with_an_all_zero_shard():
