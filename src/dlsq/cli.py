@@ -28,7 +28,6 @@ from .analysis import (
     process_gates,
 )
 from .datasets import compute_spectrum, load_dataset
-from .noise import observation_eta
 from .runner import (
     CHOICES,
     FIELD_TYPES,
@@ -159,14 +158,13 @@ def cmd_bounds(args):
     z0 = args.z0 if args.z0 is not None else float(np.linalg.norm(ds.x_star))
 
     # an explicit --eta / --omega wins; otherwise the level `dlsq run`
-    # derives from the same flags
-    level = {"observation": args.eta, "process": args.omega}.get(config.noise)
-    if level is None and config.noise != "none":
-        obs_model, _, meta = resolve_noise(config, ds.name, d)
-        level = meta["omega"] if obs_model is None else observation_eta(
-            obs_model, ds.n_rows, config.m)
-    eta = float(level) if config.noise == "observation" else 0.0
-    omega = float(level) if config.noise == "process" else 0.0
+    # records from the same flags
+    key = {"observation": "eta", "process": "omega"}.get(config.noise)
+    level = getattr(args, key) if key else None
+    if key and level is None:
+        level = resolve_noise(config, ds.name, ds.n_rows, d)[2][key]
+    eta = float(level) if key == "eta" else 0.0
+    omega = float(level) if key == "omega" else 0.0
     bi = bound_inputs_from(sp, m=config.m, d=d, alpha=alpha, delta=delta,
                            eta=eta, omega=omega, z0=z0)
 

@@ -76,17 +76,10 @@ class Shard:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenstructure of A^T A plus its exact inverse K_star.
-
-    eigenvalues ascend; eigenvectors[:, j] pairs with eigenvalues[j], so
-    the extreme eigenpairs are (lambda_d, eigenvectors[:, 0]) and
-    (lambda_1, eigenvectors[:, -1]).
-    """
+    """Extreme eigenvalues of A^T A plus its exact inverse K_star."""
 
     lambda_1: float
     lambda_d: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     K_star: np.ndarray
 
     @property
@@ -402,12 +395,15 @@ def reassemble(shards, n_rows, n_cols):
 def compute_spectrum(A):
     """Extreme eigenvalues of A^T A and its inverse.
 
-    Raises RankDeficiencyError when lambda_d <= RANK_RTOL * lambda_1, i.e.
-    the observation matrix does not determine the parameters.
+    Raises RankDeficiencyError when A has no columns or A^T A is singular
+    (lambda_d <= RANK_RTOL * lambda_1): A does not determine the parameters.
     """
     A = np.asarray(A, dtype=np.float64)
     H = A.T @ A
-    eigenvalues, eigenvectors = np.linalg.eigh(H)
+    if H.size == 0:
+        raise RankDeficiencyError(f"A has no columns (shape {A.shape}): nothing to solve for")
+    # eigh, not eigvalsh: its eigenvalues set the default steps bit for bit
+    eigenvalues, _ = np.linalg.eigh(H)
     lambda_d = float(eigenvalues[0])
     lambda_1 = float(eigenvalues[-1])
     if not (lambda_d > RANK_RTOL * lambda_1 and lambda_d > 0.0):
@@ -416,6 +412,4 @@ def compute_spectrum(A):
             f"lambda_1={lambda_1:.3e}"
         )
     K_star = np.linalg.solve(H, np.eye(H.shape[0]))
-    return Spectrum(lambda_1=lambda_1, lambda_d=lambda_d,
-                    eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-                    K_star=K_star)
+    return Spectrum(lambda_1=lambda_1, lambda_d=lambda_d, K_star=K_star)

@@ -4,7 +4,8 @@ The server hands every agent the same broadcast payload; each agent
 computes a reply from its own shard only; the server consumes the sum
 of the replies. Replies are summed in ascending agent-id order no
 matter how the shard list is arranged, so shard order never changes
-a single bit of the result.
+a single bit of the result. Replies are not checked for inf or nan:
+each one reaches the server's next iterate, which the runner checks.
 """
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import numpy as np
 
 
 def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
-    """Run one round; returns (server_state, agent_states, finite), finite
-    being whether every part of the aggregated reply is finite.
+    """Run one round; returns (server_state, agent_states).
 
     agent_fn(broadcast, shard, agent_state) -> (reply tuple of arrays, new agent_state)
     server_fn(aggregate tuple) -> new server state
@@ -59,6 +59,4 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
             else:
                 acc += part
 
-    aggregate = tuple(aggregate)
-    finite = all(np.all(np.isfinite(part)) for part in aggregate)
-    return server_fn(aggregate), new_states, finite
+    return server_fn(tuple(aggregate)), new_states

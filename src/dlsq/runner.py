@@ -221,11 +221,11 @@ def resolve_params(config, dataset_name, spectrum):
     return out
 
 
-def resolve_noise(config, dataset_name, d):
-    """Build the noise models for a run.
+def resolve_noise(config, dataset_name, n_rows, d):
+    """Build the noise models for a run on an n_rows x d problem.
 
     Returns (observation_model_or_None, process_model, meta) where meta
-    records kind and the per-variable l1 level the bound formulas use.
+    records kind and the l1 level the bound formulas use, eta or omega.
     """
     meta = {"noise": config.noise}
     if config.noise == "none":
@@ -240,8 +240,9 @@ def resolve_noise(config, dataset_name, d):
                     "observation noise on a non-registry dataset needs an explicit noise_level"
                 )
             a = info.observation_half_width
-        meta["half_width"] = float(a)
-        return ObservationNoise(half_width=float(a)), NoProcessNoise(), meta
+        model = ObservationNoise(half_width=float(a))
+        meta.update(half_width=float(a), eta=observation_eta(model, n_rows, config.m))
+        return model, NoProcessNoise(), meta
 
     kind = config.process_kind
     level = config.noise_level
@@ -299,28 +300,25 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     if spectrum is None:
         spectrum = compute_spectrum(ds.A)
     params = resolve_params(config, ds.name, spectrum)
-    obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, d)
+    obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
     shards = make_shards(ds, config.m)
-    eta = 0.0
     if obs_model is not None:
         shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
-        eta = noise_meta["eta"] = observation_eta(obs_model, ds.n_rows, config.m)
         noise_meta["eta_realized_max"] = max(eta_realized)
-    omega = noise_meta.get("omega", 0.0)
     if config.noise == "process":
         pnoise = _RecordingProcessNoise(pnoise, d)
 
     solver = make_solver(config.method, params)
     steps = rounds(solver, shards, d, pnoise)
-    _, state, _, _ = next(steps)
+    _, state = next(steps)
     x_prev = solver.iterate(state).copy()
     err0 = estimation_error(x_prev, ds.x_star)
     bounds = None
     if config.method == "ipg" and config.noise != "none":
         bounds = bound_columns(config.noise, bound_inputs_from(
             spectrum, m=config.m, d=d, alpha=params["alpha"], delta=params["delta"],
-            eta=eta, omega=omega, z0=err0))
+            eta=noise_meta.get("eta", 0.0), omega=noise_meta.get("omega", 0.0), z0=err0))
     row = TraceRow(0, err0, None, *(bounds(0, None) if bounds else NO_BOUNDS))
     rows = [row]
     if on_iteration:
@@ -328,14 +326,14 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
 
     stopped = "maxiter"
     consecutive = 0
-    for t, state, agent_states, reply_finite in islice(steps, config.max_iters):
+    for t, state in islice(steps, config.max_iters):
         x = solver.iterate(state)
         err = estimation_error(x, ds.x_star)
         delta_step = float(np.linalg.norm(x - x_prev))
-
-        finite = (reply_finite and np.all(np.isfinite(x))
-                  and all(np.all(np.isfinite(a)) for a in solver.internal_arrays(state, agent_states)))
-        diverged = (not finite) or float(np.linalg.norm(x)) > DIVERGENCE_NORM
+        # x alone decides: every reply and internal array feeds it this
+        # round and inf/nan survive that arithmetic (see solvers.rounds);
+        # a nan norm fails the comparison and an inf norm exceeds it
+        diverged = not float(np.linalg.norm(x)) <= DIVERGENCE_NORM
 
         cols = bounds(t, row.err) if bounds and not diverged else NO_BOUNDS
         row = TraceRow(t, err, delta_step, *cols, diverged)
@@ -546,7 +544,11 @@ def parse_trace(path):
 
 def load_grid_config(path):
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"grid config must be a JSON object, got {type(obj).__name__}")
     defaults = obj.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ValueError(f"grid 'defaults' must be a JSON object, got {type(defaults).__name__}")
     runs = obj.get("runs")
     if not isinstance(runs, list):
         raise ValueError("grid config needs a 'runs' list")

@@ -5,7 +5,8 @@ Each solver advances one synchronization round at a time through
 their shards, the server folds the aggregated reply into its state.
 Process noise (when configured) corrupts every newly computed iterated
 variable, and the freshly corrupted value is what the next computation
-and the next broadcast see.
+and the next broadcast see. The runner's divergence guard reads the
+iterate alone; ``rounds`` says why no other array needs a check.
 
 Method summary:
 
@@ -178,9 +179,6 @@ class IPGSolver:
     def iterate(self, state):
         return state.x
 
-    def internal_arrays(self, state, agent_states):
-        return (state.K,)
-
 
 # ---------------------------------------------------------------------------
 
@@ -232,9 +230,6 @@ class MomentumSolver:
 
     def iterate(self, state):
         return state.x
-
-    def internal_arrays(self, state, agent_states):
-        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +285,6 @@ class BFGSSolver:
 
     def iterate(self, state):
         return state.x
-
-    def internal_arrays(self, state, agent_states):
-        return (state.M,)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +348,6 @@ class APCSolver:
     def iterate(self, state):
         return state.xbar
 
-    def internal_arrays(self, state, agent_states):
-        return tuple(ast[0] for ast in agent_states)
-
 
 # ---------------------------------------------------------------------------
 
@@ -381,17 +370,22 @@ def make_solver(method, params):
 
 
 def rounds(solver, shards, d, pnoise):
-    """The one round loop: yields (t, state, agent_states, reply_finite)
-    for t = 0, 1, 2, ... and computes round t only when item t is asked
-    for. t = 0 is the initial state (reply_finite True); the consumer
-    decides when to stop.
+    """The one round loop: yields (t, state) for t = 0, 1, 2, ... and
+    computes round t only when item t is asked for. t = 0 is the initial
+    state; the consumer decides when to stop.
+
+    The iterate alone shows divergence: every reply and internal array
+    reaches it in the round it is formed (ipg x+ = x - delta K+ G with
+    K+ = K - alpha R; gd/nag/hbm x+ from G; bfgs x+ = x - M+ G; apc x-bar+
+    from the agents' iterates), and inf/nan survive +, * and matmul
+    (0 * inf = nan), round-off and uniform corruption.
     """
     state = solver.init_state(shards, d, pnoise)
     agent_states = solver.init_agent_states(shards)
-    yield 0, state, agent_states, True
+    yield 0, state
     for t in count():
-        state, agent_states, finite = solver.step(state, shards, agent_states, pnoise, t)
-        yield t + 1, state, agent_states, finite
+        state, agent_states = solver.step(state, shards, agent_states, pnoise, t)
+        yield t + 1, state
 
 
 def run_rounds(solver, shards, d, n_rounds, pnoise=None, seed=0, collect=None):
@@ -402,7 +396,7 @@ def run_rounds(solver, shards, d, n_rounds, pnoise=None, seed=0, collect=None):
     model's own seed, and callers that replay a run (perfbench's stencil
     workload) still pass that run's seed here.
     """
-    for t, state, _, _ in rounds(solver, shards, d, pnoise or NoProcessNoise()):
+    for t, state in rounds(solver, shards, d, pnoise or NoProcessNoise()):
         if collect:
             collect(state, t)
         if t >= n_rounds:

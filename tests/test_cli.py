@@ -124,6 +124,18 @@ def test_grid_empty_exits_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "grid_summary.csv").read_text().startswith("label,")
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "gd"], ["spectrum"], ["bounds"]])
+@pytest.mark.parametrize("dataset", ["synth:4,0,1", "synth:0,0,1", "empty.mtx"])
+def test_problem_with_no_columns_exits_2(tmp_path, capsys, command, dataset):
+    if dataset.endswith(".mtx"):
+        path = tmp_path / dataset
+        path.write_text("%%MatrixMarket matrix coordinate real general\n3 0 0\n")
+        dataset = str(path)
+    rc = main([command[0], "--dataset", dataset, *command[1:], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "no columns" in capsys.readouterr().err
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     out_file = tmp_path / "spec.json"
     rc = main(["spectrum", "--dataset", SPEC, "--out", str(out_file)])

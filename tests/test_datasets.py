@@ -325,7 +325,8 @@ def test_spectrum_eigenpair_residuals():
     ds = synthesize_problem(50, 8, cond=12.0, seed=7)
     H = ds.A.T @ ds.A
     sp = compute_spectrum(ds.A)
-    v_1, v_d = sp.eigenvectors[:, -1], sp.eigenvectors[:, 0]
+    _, vectors = np.linalg.eigh(H)  # ascending: the extreme pairs sit at the ends
+    v_1, v_d = vectors[:, -1], vectors[:, 0]
     r1 = np.linalg.norm(H @ v_1 - sp.lambda_1 * v_1)
     rd = np.linalg.norm(H @ v_d - sp.lambda_d * v_d)
     assert r1 <= 1e-6 * np.linalg.norm(v_1)
@@ -348,10 +349,16 @@ def test_rank_deficiency_raises():
     A = np.ones((5, 3))  # rank 1
     with pytest.raises(RankDeficiencyError):
         compute_spectrum(A)
+    for shape in ((4, 0), (0, 0)):  # no columns: an empty Gram matrix
+        with pytest.raises(RankDeficiencyError, match="no columns"):
+            compute_spectrum(np.zeros(shape))
 
 
 def test_spectrum_eigenvalues_ascend(small_problem):
     sp = compute_spectrum(small_problem.A)
-    assert np.all(np.diff(sp.eigenvalues) >= 0)
+    H = small_problem.A.T @ small_problem.A
+    values = np.linalg.eigh(H)[0]
+    assert np.all(np.diff(values) >= 0)
+    assert (sp.lambda_d, sp.lambda_1) == (values[0], values[-1])
     assert sp.k_star_spec == pytest.approx(1.0 / sp.lambda_d)
     assert sp.k_star_fro == pytest.approx(np.linalg.norm(sp.K_star, "fro"))

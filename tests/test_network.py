@@ -19,7 +19,7 @@ def sum_gradients(shards, x):
     def server(agg):
         return agg[0]
 
-    G, _, _ = execute_round((x,), shards, agent, server)
+    G, _ = execute_round((x,), shards, agent, server)
     return G
 
 
@@ -62,7 +62,7 @@ def test_multi_part_replies_aggregate_elementwise():
     def server(agg):
         return agg
 
-    (vec, rows), _, _ = execute_round((None,), shards, agent, server)
+    (vec, rows), _ = execute_round((None,), shards, agent, server)
     np.testing.assert_array_equal(vec, np.full(3, 0.0 + 1.0 + 2.0))
     assert rows == 12
 
@@ -79,22 +79,8 @@ def test_agent_states_thread_through():
 
     states = [0, 0]
     for _ in range(3):
-        _, states, _ = execute_round((None,), shards, agent, server, states)
+        _, states = execute_round((None,), shards, agent, server, states)
     assert states == [3, 3]
-
-
-def test_finite_flag_trips_on_bad_reply():
-    ds = synthesize_problem(10, 2, cond=1.5, seed=1)
-    shards = make_shards(ds, 2)
-
-    def agent(bc, shard, ast):
-        v = np.zeros(2)
-        if shard.agent_id == 1:
-            v[0] = np.inf
-        return (v,), ast
-
-    _, _, finite = execute_round((None,), shards, agent, lambda agg: agg)
-    assert not finite
 
 
 def test_mismatched_agent_state_count_rejected():
@@ -137,7 +123,7 @@ def test_block_parts_add_at_their_column_span():
         block = np.full((w, 2), float(shard.agent_id + 1))
         return (np.ones(16), block, 1.0), ast
 
-    (vec, mat, count), _, _ = execute_round((None,), shards[::-1], agent, lambda agg: agg)
+    (vec, mat, count), _ = execute_round((None,), shards[::-1], agent, lambda agg: agg)
     np.testing.assert_array_equal(vec, np.full(16, 4.0))
     want = np.zeros((16, 2))
     for sh in shards:

@@ -1,14 +1,17 @@
 """Run orchestration: parameter defaults, stop rule, traces, grids."""
 import json
 from dataclasses import asdict, replace
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
+from dlsq.noise import STREAM_AGENT_BASE, STREAM_K, STREAM_M, STREAM_X, STREAM_XBAR
 from dlsq.runner import (
     DEFAULT_PARAMS,
     RunConfig,
@@ -85,29 +88,29 @@ def test_explicit_values_override_everything():
 def test_resolve_noise_defaults_and_errors():
     c = cfg(noise="observation")
     with pytest.raises(ValueError):
-        resolve_noise(c, "synth-60x10-c4-s3", 10)  # non-registry needs a level
+        resolve_noise(c, "synth-60x10-c4-s3", 60, 10)  # non-registry needs a level
     obs, pn, meta = resolve_noise(cfg(noise="observation", noise_level=0.25),
-                                  "whatever", 10)
+                                  "whatever", 60, 10)
     assert obs.half_width == 0.25 and meta["half_width"] == 0.25
 
-    obs, pn, meta = resolve_noise(cfg(noise="observation"), "ash608", 188)
+    obs, pn, meta = resolve_noise(cfg(noise="observation"), "ash608", 608, 188)
     assert obs.half_width == 0.25
-    obs, pn, meta = resolve_noise(cfg(noise="observation"), "gr_30_30", 900)
+    obs, pn, meta = resolve_noise(cfg(noise="observation"), "gr_30_30", 900, 900)
     assert obs.half_width == 0.15
 
-    _, pn, meta = resolve_noise(cfg(noise="process"), "ash608", 188)
+    _, pn, meta = resolve_noise(cfg(noise="process"), "ash608", 608, 188)
     assert meta["kind"] == "roundoff" and meta["omega"] == pytest.approx(188 * 0.5e-4)
-    _, pn, meta = resolve_noise(cfg(noise="process", method="apc"), "gr_30_30", 900)
+    _, pn, meta = resolve_noise(cfg(noise="process", method="apc"), "gr_30_30", 900, 900)
     assert meta["kind"] == "uniform" and meta["high"] == pytest.approx(5e-5)
-    _, pn, meta = resolve_noise(cfg(noise="process", method="bfgs"), "ash608", 188)
+    _, pn, meta = resolve_noise(cfg(noise="process", method="bfgs"), "ash608", 608, 188)
     assert meta["high"] == pytest.approx(9e-5)
-    _, pn, meta = resolve_noise(cfg(noise="process", method="bfgs"), "gr_30_30", 900)
+    _, pn, meta = resolve_noise(cfg(noise="process", method="bfgs"), "gr_30_30", 900, 900)
     assert meta["high"] == pytest.approx(2e-6)
 
     with pytest.raises(ValueError):
-        resolve_noise(cfg(noise="process", process_kind="uniform"), "x", 10)
+        resolve_noise(cfg(noise="process", process_kind="uniform"), "x", 60, 10)
     with pytest.raises(ValueError):
-        resolve_noise(cfg(noise="banana"), "x", 10)
+        resolve_noise(cfg(noise="banana"), "x", 60, 10)
 
 
 def test_run_validates_method_and_noise():
@@ -172,10 +175,10 @@ def test_run_config_accepts_range_ends_and_numpy_numbers(kw):
 def test_uniform_noise_rejects_empty_range_naming_both_fields():
     c = cfg(noise="process", process_kind="uniform", process_low=0.5, noise_level=0.1)
     with pytest.raises(ValueError, match=r"noise_level.*process_low=0\.5, got 0\.1"):
-        resolve_noise(c, "x", 10)
+        resolve_noise(c, "x", 60, 10)
     # the high end may come from the dataset's convention (apc on ash608: 5e-5)
     with pytest.raises(ValueError, match="process_low"):
-        resolve_noise(cfg(noise="process", method="apc", process_low=1e-4), "ash608", 188)
+        resolve_noise(cfg(noise="process", method="apc", process_low=1e-4), "ash608", 608, 188)
 
 
 def test_grid_config_error_names_the_cell(tmp_path):
@@ -237,6 +240,61 @@ def test_divergence_flag_on_unstable_step():
     assert trace.summary["diverged_at"] == trace.rows[-1].t
     # all earlier rows are clean
     assert not any(r.diverged for r in trace.rows[:-1])
+
+
+class _Fault:
+    """Process noise that writes value into entry 0 of one stream at one round."""
+
+    def __init__(self, stream, value, at):
+        self.stream, self.value, self.at = stream, value, at
+
+    def corrupt(self, v, stream, iteration):
+        if (stream, iteration) != (self.stream, self.at):
+            return v
+        out = np.array(v, dtype=np.float64, copy=True)
+        out.flat[0] = self.value
+        return out
+
+
+# process-noise streams, written at round 7, and agent replies, at round 5
+FAULT_STREAMS = {"x": STREAM_X, "K": STREAM_K, "M": STREAM_M, "xbar": STREAM_XBAR,
+                 "apc-agent": STREAM_AGENT_BASE + 2}
+FAULT_REPLIES = {"gradient": "agent_gradient", "R": "agent_r_matrix"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("method, where", [
+    ("ipg", "x"), ("ipg", "K"), ("ipg", "gradient"), ("ipg", "R"),
+    ("gd", "x"), ("gd", "gradient"), ("nag", "x"), ("nag", "gradient"),
+    ("hbm", "x"), ("hbm", "gradient"), ("bfgs", "x"), ("bfgs", "M"), ("bfgs", "gradient"),
+    ("apc", "xbar"), ("apc", "apc-agent"),
+])
+def test_divergence_guard_trips_in_the_round_of_any_fault(monkeypatch, method, where, value):
+    # the guard reads the iterate alone: a non-finite value in any reply,
+    # internal array or agent iterate must show in that round's iterate
+    m = 5
+    if where in FAULT_STREAMS:
+        at = 7
+        monkeypatch.setattr(runner, "NoProcessNoise",
+                            lambda: _Fault(FAULT_STREAMS[where], value, at))
+    else:
+        at = 5
+        real, calls = getattr(solvers, FAULT_REPLIES[where]), count()
+
+        def faulty(shard, *args):
+            out = real(shard, *args)
+            if next(calls) == m * (at - 1) + 1:  # agent 1's reply in round `at`
+                out = out.copy()
+                out.flat[0] = value
+            return out
+
+        monkeypatch.setattr(solvers, FAULT_REPLIES[where], faulty)
+    with np.errstate(all="ignore"):
+        trace = run(cfg(method=method, m=m, stop_tol=0.0, max_iters=20))
+    assert trace.summary["diverged_at"] == at == trace.rows[-1].t
+    assert trace.rows[-1].diverged
+    assert not any(r.diverged for r in trace.rows[:-1])
+    assert all(np.isfinite(r.err) for r in trace.rows[:-1])
 
 
 def test_summary_final_error_equals_last_row():
@@ -419,6 +477,13 @@ def test_grid_config_validation(tmp_path):
                                          "bogus_key": 1}]}))
     with pytest.raises(ValueError):
         load_grid_config(bad)
+    for top in ([1, 2], "x"):
+        bad.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="grid config must be a JSON object"):
+            load_grid_config(bad)
+    bad.write_text(json.dumps({"defaults": [1], "runs": [{"dataset": SPEC, "method": "gd"}]}))
+    with pytest.raises(ValueError, match="grid 'defaults' must be a JSON object"):
+        load_grid_config(bad)
 
 
 def test_config_roundtrip_dict():
@@ -465,7 +530,7 @@ def test_run_rounds_sees_the_errors_run_records(method, noise):
     config = cfg(method=method, max_iters=40, stop_tol=0.0, seed=5, **noise)
     ds = load_dataset(SPEC)
     params = resolve_params(config, ds.name, compute_spectrum(ds.A))
-    _, pnoise, _ = resolve_noise(config, ds.name, ds.n_cols)
+    _, pnoise, _ = resolve_noise(config, ds.name, ds.n_rows, ds.n_cols)
     solver = make_solver(method, params)
     errs = []
     run_rounds(solver, make_shards(ds, config.m), ds.n_cols, config.max_iters,

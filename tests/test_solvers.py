@@ -24,6 +24,7 @@ from dlsq.solvers import (
     agent_r_matrix,
     bfgs_update,
     left_out_diagonal,
+    local_gram,
     make_solver,
     run_rounds,
 )
@@ -141,7 +142,7 @@ def summed_residuals(shards, K, d, grams=None):
     """Server view of one ipg round: placed blocks plus the left-out diagonal.
     grams aligns with shards (None: every agent takes the two products)."""
     m = len(shards)
-    R, _, _ = execute_round((K,), shards,
+    R, _ = execute_round((K,), shards,
                             lambda bc, sh, gram: ((agent_r_matrix(sh, bc[0], m, gram),), gram),
                             lambda agg: agg[0], grams)
     R.ravel()[:: d + 1] -= left_out_diagonal(shards, d)
@@ -170,6 +171,28 @@ def test_compressed_residual_sum_equals_dense_sum(d, rows_per_col, band, m_frac,
         np.testing.assert_allclose(R, dense, rtol=0, atol=1e-12 * max(1.0, np.abs(dense).max()))
         shuffled_grams = None if grams is None else [gram_block(sh) for sh in shuffled]
         assert np.array_equal(summed_residuals(shuffled, K, d, shuffled_grams), R)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(2, 24), rows_per_col=st.integers(1, 3), band=st.integers(0, 23),
+       density=st.floats(0.1, 1.0), m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gram_route_on_random_sparse_bands(d, rows_per_col, band, density, m_frac, seed):
+    rng = np.random.default_rng(seed)
+    n = rows_per_col * d
+    # a random subset of the band around each row's scaled diagonal
+    rows, cols = np.indices((n, d))
+    keep = (np.abs(rows // rows_per_col - cols) <= band) & (rng.random((n, d)) < density)
+    A = np.where(keep, rng.standard_normal((n, d)), 0.0)
+    ds = Dataset(name="sparse-band", A=A, x_star=np.ones(d), b=A @ np.ones(d))
+    m = 1 + int(m_frac * (n - 1))
+    K = rng.standard_normal((d, d))
+    for sh in make_shards(ds, m):
+        gram = local_gram(sh)
+        assert (gram is None) == (sh.cols.stop - sh.cols.start >= 2 * sh.n_rows)
+        if gram is not None:
+            two = agent_r_matrix(sh, K, m)
+            np.testing.assert_allclose(agent_r_matrix(sh, K, m, gram), two, rtol=0,
+                                       atol=1e-12 * np.abs(two).max(initial=0.0))
 
 
 def test_local_gram_only_where_it_saves_flops():
@@ -277,7 +300,7 @@ def test_ipg_fixed_point_is_stationary(small_problem):
     state = type(state)(x=ds.x_star.copy(), K=state.K)
     agent_states = solver.init_agent_states(shards)
     for t in range(3):
-        state, agent_states, _ = solver.step(state, shards, agent_states, pn, t)
+        state, agent_states = solver.step(state, shards, agent_states, pn, t)
     np.testing.assert_allclose(state.x, ds.x_star, atol=1e-9)
     np.testing.assert_allclose(state.K, sp.K_star, atol=1e-9)
 
@@ -294,7 +317,7 @@ def test_preconditioner_columns_contract_at_richardson_rate(small_problem):
     agent_states = solver.init_agent_states(shards)
     prev = np.linalg.norm(state.K - sp.K_star, axis=0)
     for t in range(40):
-        state, agent_states, _ = solver.step(state, shards, agent_states, pn, t)
+        state, agent_states = solver.step(state, shards, agent_states, pn, t)
         cur = np.linalg.norm(state.K - sp.K_star, axis=0)
         assert np.all(cur <= (rho + 1e-9) * prev)
         prev = cur
@@ -423,7 +446,7 @@ def test_bfgs_skips_on_curvature_violation(small_problem):
     x_prev = x0 - np.ones(d)
     g_prev = G0 + np.ones(d)
     state = BFGSState(x=x0, M=np.eye(d), x_prev=x_prev, g_prev=g_prev)
-    new_state, _, _ = solver.step(state, shards, solver.init_agent_states(shards), pn, 5)
+    new_state, _ = solver.step(state, shards, solver.init_agent_states(shards), pn, 5)
     assert new_state.skipped == [5]
     np.testing.assert_array_equal(new_state.M, np.eye(d))
 
@@ -463,7 +486,7 @@ def test_apc_iterates_stay_in_local_solution_sets(small_problem):
     state = solver.init_state(shards, ds.n_cols, pn)
     agent_states = solver.init_agent_states(shards)
     for t in range(15):
-        state, agent_states, _ = solver.step(state, shards, agent_states, pn, t)
+        state, agent_states = solver.step(state, shards, agent_states, pn, t)
         for sh, (x_i, _) in zip(shards, agent_states):
             np.testing.assert_allclose(sh.A @ x_i, sh.b, atol=1e-8)
 
@@ -480,8 +503,8 @@ def test_apc_init_agent_states_can_be_fetched_twice(small_problem):
     for (x_a, P_a), (x_b, P_b) in zip(first, second):
         assert np.array_equal(x_a, x_b) and np.array_equal(P_a, P_b)
     # a step from either hand-off gives the same next state
-    a, _, _ = solver.step(state, shards, first, pn, 0)
-    b, _, _ = solver.step(state, shards, second, pn, 0)
+    a, _ = solver.step(state, shards, first, pn, 0)
+    b, _ = solver.step(state, shards, second, pn, 0)
     assert np.array_equal(a.xbar, b.xbar)
 
 

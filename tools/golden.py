@@ -1,11 +1,14 @@
-"""The golden gate: 96 fixed runs whose traces a change should keep.
+"""The golden gate: 106 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR]
 
 The set is synth:60,10,4,3 and synth:120,16,30,7 x the six methods x
 none / observation 0.05 / round-off / uniform (-1e-4, 2e-4) process
-noise x seeds 0 and 5, 300 rounds, m=10, stop_tol=0. ``record`` writes,
+noise x seeds 0 and 5, 300 rounds, m=10, stop_tol=0, plus five runs
+that diverge (DIVERGING) on synth:60,10,4,3 with m=5, seeds 0 and 5,
+300 rounds, stop_tol=0, so the round the divergence guard trips at is
+pinned too. ``record`` writes,
 for every run, the SHA-256 of ``trace_csv_text``, the text itself and
 the stop reason. ``check`` reruns the set and, for every trace whose
 hash differs, prints the largest absolute err gap, the largest relative
@@ -38,6 +41,16 @@ NOISES = {
                 "noise_level": 2e-4},
 }
 SEEDS = (0, 5)
+# unstable steps and heavy process noise; the first four trip the norm
+# limit or overflow within 31 rounds, bfgs under the noise near 120
+DIVERGING = {
+    "gd-a0.9": {"method": "gd", "alpha": 0.9},
+    "ipg-a3": {"method": "ipg", "alpha": 3.0},
+    "nag-a1e200": {"method": "nag", "alpha": 1e200, "beta": 0.5},
+    "apc-g50": {"method": "apc", "gamma": 50.0, "eta_apc": 50.0},
+    "bfgs-uniform": {"method": "bfgs", "noise": "process", "process_kind": "uniform",
+                     "process_low": -0.1, "noise_level": 0.2},
+}
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
@@ -54,6 +67,12 @@ def golden_runs():
                                           max_iters=300, stop_tol=0.0, **extra))
                     yield (f"{dataset}/{method}/{noise}/s{seed}", trace_csv_text(trace),
                            trace.summary["stopped"])
+    for name, extra in DIVERGING.items():
+        for seed in SEEDS:
+            trace = run(RunConfig(dataset=DATASETS[0], seed=seed, m=5, max_iters=300,
+                                  stop_tol=0.0, **extra))
+            yield (f"{DATASETS[0]}/m5/{name}/s{seed}", trace_csv_text(trace),
+                   trace.summary["stopped"])
 
 
 def _sha256(text):
