@@ -147,6 +147,11 @@ def cmd_bounds(args):
         if v is not None and not 0.0 <= v < float("inf"):
             raise ValueError(f"--{flag} must be finite and >= 0, got {v}")
     config = _config_from_args(args)
+    # --eta is the observation level and --omega the process level
+    key = {"observation": "eta", "process": "omega"}.get(config.noise)
+    for flag in ("eta", "omega"):
+        if flag != key and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --noise {config.noise}")
     ds = load_dataset(config.dataset, config.data_dir)
     d = ds.n_cols
     sp = compute_spectrum(ds.A)
@@ -159,7 +164,6 @@ def cmd_bounds(args):
 
     # an explicit --eta / --omega wins; otherwise the level `dlsq run`
     # records from the same flags
-    key = {"observation": "eta", "process": "omega"}.get(config.noise)
     level = getattr(args, key) if key else None
     if key and level is None:
         level = resolve_noise(config, ds.name, ds.n_rows, d)[2][key]

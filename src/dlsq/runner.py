@@ -43,26 +43,30 @@ class _RecordingProcessNoise:
 
     Magnitudes are normalized to a length-d variable (K counts per
     column) so the running mean is directly comparable to the declared
-    per-variable l1 level.
+    per-variable l1 level. Agents that run concurrently (apc) corrupt
+    their own streams, so each stream keeps its own sum and count, which
+    grow in round order whatever the thread timing; the mean adds the
+    streams up in stream order.
     """
 
     def __init__(self, inner, d):
         self._inner = inner
         self._d = d
-        self._sum = 0.0
-        self._count = 0
+        self._sums = {}  # stream -> [sum, count]
 
     def corrupt(self, v, stream, iteration):
         out = self._inner.corrupt(v, stream, iteration)
         n = np.asarray(v).size
         if n:
-            self._sum += realized_l1(v, out) * (self._d / n)
-            self._count += 1
+            acc = self._sums.setdefault(stream, [0.0, 0])
+            acc[0] += realized_l1(v, out) * (self._d / n)
+            acc[1] += 1
         return out
 
     @property
     def realized_mean(self):
-        return self._sum / self._count if self._count else 0.0
+        count = sum(c for _, c in self._sums.values())
+        return sum(self._sums[s][0] for s in sorted(self._sums)) / count if count else 0.0
 
 
 DIVERGENCE_NORM = 1e12
@@ -328,12 +332,14 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     consecutive = 0
     for t, state in islice(steps, config.max_iters):
         x = solver.iterate(state)
-        err = estimation_error(x, ds.x_star)
-        delta_step = float(np.linalg.norm(x - x_prev))
-        # x alone decides: every reply and internal array feeds it this
-        # round and inf/nan survive that arithmetic (see solvers.rounds);
-        # a nan norm fails the comparison and an inf norm exceeds it
-        diverged = not float(np.linalg.norm(x)) <= DIVERGENCE_NORM
+        # a norm past the float range is inf, which the guard reads as it is
+        with np.errstate(over="ignore"):
+            err = estimation_error(x, ds.x_star)
+            delta_step = float(np.linalg.norm(x - x_prev))
+            # x alone decides: every reply and internal array feeds it this
+            # round and inf/nan survive that arithmetic (see solvers.rounds);
+            # a nan norm fails the comparison and an inf norm exceeds it
+            diverged = not float(np.linalg.norm(x)) <= DIVERGENCE_NORM
 
         cols = bounds(t, row.err) if bounds and not diverged else NO_BOUNDS
         row = TraceRow(t, err, delta_step, *cols, diverged)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dlsq import network
 from dlsq.datasets import REGISTRY, dataset_path, load_dataset
 
 # Filled by test_acceptance; echoed after the session so every criterion
@@ -30,6 +31,29 @@ def small_problem():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+_SPARE_HELPER = []
+
+
+@pytest.fixture
+def use_helpers(monkeypatch):
+    """use_helpers(on). With on (the default), rounds above
+    network.CONCURRENT_FLOPS run on this process's helpers, or on one
+    spare helper where the process may use a single CPU, so they are
+    concurrent on any host; without, every round is sequential, as on
+    one CPU."""
+    lock, helpers = network._helpers()
+    if not helpers:
+        if not _SPARE_HELPER:
+            _SPARE_HELPER.append(network._Helper())
+        helpers = _SPARE_HELPER
+
+    def use(on):
+        monkeypatch.setattr(network, "_helpers", lambda: (lock, helpers if on else []))
+
+    use(True)
+    return use
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -240,6 +240,21 @@ def test_bounds_rejects_bad_override(tmp_path, capsys, flag, noise, value):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, noise", [
+    ("--eta", "process"),
+    ("--omega", "observation"),
+    ("--eta", "none"),
+    ("--omega", "none"),
+])
+def test_bounds_rejects_the_other_modes_override(tmp_path, capsys, flag, noise):
+    # --eta sets the observation level and --omega the process level
+    rc = main(["bounds", "--dataset", SPEC, "--noise", noise, "--noise-level", "0.05",
+               flag, "0.3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bounds_rows_equal_run_bound_columns(tmp_path):
     trace = run(RunConfig(dataset=SPEC, method="ipg", m=5, noise="process",
                           process_kind="uniform", noise_level=0.02, process_low=-0.01,

@@ -1,5 +1,6 @@
 """Run orchestration: parameter defaults, stop rule, traces, grids."""
 import json
+import warnings
 from dataclasses import asdict, replace
 from itertools import count
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
-from dlsq.noise import STREAM_AGENT_BASE, STREAM_K, STREAM_M, STREAM_X, STREAM_XBAR
+from dlsq.noise import (
+    STREAM_AGENT_BASE,
+    STREAM_K,
+    STREAM_M,
+    STREAM_X,
+    STREAM_XBAR,
+    UniformProcessNoise,
+)
 from dlsq.runner import (
     DEFAULT_PARAMS,
     RunConfig,
@@ -297,6 +305,20 @@ def test_divergence_guard_trips_in_the_round_of_any_fault(monkeypatch, method, w
     assert all(np.isfinite(r.err) for r in trace.rows[:-1])
 
 
+def test_overflowing_iterate_returns_the_diverged_trace():
+    # x(1) ~ 1e200 squares past the float range inside the norms
+    config = RunConfig("synth:60,10,4,3", "nag", alpha=1e200, beta=0.5, m=5, max_iters=20,
+                       stop_tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(config)
+    assert trace.summary["stopped"] == "diverged"
+    assert trace.summary["diverged_at"] == 1
+    # the golden gate's nag-a1e200 trace (tools/golden.py), seeds 0 and 5
+    assert trace_csv_text(trace) == ("t,err,step_delta,bound_t1,u_t,bound_t2,diverged\n"
+                                     "0,3.1622776601683795,,,,,0\n1,inf,inf,,,,1\n")
+
+
 def test_summary_final_error_equals_last_row():
     trace = run(cfg(method="hbm"))
     assert trace.summary["final_err"] == trace.rows[-1].err
@@ -504,6 +526,41 @@ def test_bfgs_summary_reports_skip_rounds():
     tr = run(cfg(method="bfgs"))
     assert "bfgs_update_skips" in tr.summary
     assert tr.summary["bfgs_update_skips"] == len(tr.summary["bfgs_skip_rounds"])
+
+
+def test_apc_realized_noise_does_not_depend_on_thread_timing(use_helpers):
+    # apc agents corrupt their own iterates, from helper threads when the
+    # round is concurrent: 4 agents of 10000 x 100 estimate 2 MFLOP each
+    ds = load_dataset("synth:40000,100,10,3")
+    sp = compute_spectrum(ds.A)
+    config = RunConfig(ds.name, "apc", m=4, noise="process", process_kind="uniform",
+                       process_low=-1e-4, noise_level=2e-4, max_iters=30, stop_tol=0.0)
+    traces = [run(config, dataset=ds, spectrum=sp) for _ in range(2)]
+    use_helpers(False)
+    traces.append(run(config, dataset=ds, spectrum=sp))
+    first = without_wall_time(traces[0].summary)
+    assert first["noise"]["omega_realized_mean"] > 0
+    for trace in traces[1:]:
+        assert without_wall_time(trace.summary) == first
+        assert trace_csv_text(trace) == trace_csv_text(traces[0])
+
+
+def test_realized_noise_mean_does_not_depend_on_stream_interleaving(rng):
+    # within a round, agents on helper threads may corrupt their streams in
+    # any order; each stream's own calls still come in round order
+    streams = [STREAM_XBAR] + [STREAM_AGENT_BASE + i for i in range(6)]
+    inner = UniformProcessNoise(seed=9, low=-1e-4, high=2e-4)
+    means = []
+    for shuffle in (False, True):
+        recorder = runner._RecordingProcessNoise(inner, 10)
+        for t in range(40):
+            agents = list(streams[1:])
+            if shuffle:
+                rng.shuffle(agents)
+            for stream in agents + streams[:1]:
+                recorder.corrupt(np.full(1 + stream % 7, 0.5), stream, t)
+        means.append(recorder.realized_mean)
+    assert means[0] == means[1]
 
 
 def test_process_summary_records_realized_level():

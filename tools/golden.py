@@ -1,19 +1,23 @@
-"""The golden gate: 106 fixed runs whose traces a change should keep.
+"""The golden gate: 108 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
-    python tools/golden.py check <file> [--src DIR]
+    python tools/golden.py check <file> [--src DIR] [--one-cpu]
 
 The set is synth:60,10,4,3 and synth:120,16,30,7 x the six methods x
 none / observation 0.05 / round-off / uniform (-1e-4, 2e-4) process
 noise x seeds 0 and 5, 300 rounds, m=10, stop_tol=0, plus five runs
 that diverge (DIVERGING) on synth:60,10,4,3 with m=5, seeds 0 and 5,
 300 rounds, stop_tol=0, so the round the divergence guard trips at is
-pinned too. ``record`` writes,
-for every run, the SHA-256 of ``trace_csv_text``, the text itself and
-the stop reason. ``check`` reruns the set and, for every trace whose
-hash differs, prints the largest absolute err gap, the largest relative
-gap in the bound columns, and whether the stop reason, round count and
-diverged flags match. It exits 0 when every hash matches, 1 otherwise.
+pinned too, plus two ipg runs whose agents are computed concurrently
+(CONCURRENT: synth:608,188,10,3 under observation noise 0.05 and
+stencil:30,30 under round-off, seed 0, 30 rounds, m=10). ``record``
+writes, for every run, the SHA-256 of ``trace_csv_text``, the text
+itself and the stop reason. ``check`` reruns the set and, for every
+trace whose hash differs, prints the largest absolute err gap, the
+largest relative gap in the bound columns, and whether the stop reason,
+round count and diverged flags match; then it reruns the set in a child
+pinned to one CPU (``--one-cpu``), where every round is sequential. It
+exits 0 when every hash matches in both, 1 otherwise.
 
 dlsq is imported from ``--src`` (default: this checkout's ``src/``), so
 a file recorded from one checkout can be checked against another. BLAS
@@ -27,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,6 +56,13 @@ DIVERGING = {
     "bfgs-uniform": {"method": "bfgs", "noise": "process", "process_kind": "uniform",
                      "process_low": -0.1, "noise_level": 0.2},
 }
+# agents with enough work (network.CONCURRENT_FLOPS) to run on helper threads
+CONCURRENT = {
+    "synth:608,188,10,3/ipg/observation/s0": {"dataset": "synth:608,188,10,3",
+                                             "noise": "observation", "noise_level": 0.05},
+    "stencil:30,30/ipg/roundoff/s0": {"dataset": "stencil:30,30", "noise": "process",
+                                      "process_kind": "roundoff"},
+}
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
@@ -73,6 +85,9 @@ def golden_runs():
                                   stop_tol=0.0, **extra))
             yield (f"{DATASETS[0]}/m5/{name}/s{seed}", trace_csv_text(trace),
                    trace.summary["stopped"])
+    for key, extra in CONCURRENT.items():
+        trace = run(RunConfig(method="ipg", seed=0, m=10, max_iters=30, stop_tol=0.0, **extra))
+        yield key, trace_csv_text(trace), trace.summary["stopped"]
 
 
 def _sha256(text):
@@ -137,7 +152,8 @@ def check(recorded):
               f"rounds {'same' if gaps['same_rounds'] else 'DIFFER'}, "
               f"diverged {'same' if gaps['same_diverged'] else 'DIFFERS'}")
     total = len(recorded)
-    print(f"{total - differing} of {total} traces identical")
+    print(f"{total - differing} of {total} traces identical "
+          f"({len(os.sched_getaffinity(0))} CPUs)")
     return 0 if differing == 0 else 1
 
 
@@ -147,14 +163,24 @@ def main(argv=None):
     parser.add_argument("file", type=Path)
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the dlsq package to run")
+    parser.add_argument("--one-cpu", action="store_true",
+                        help="pin this process to one CPU first, so every round is sequential")
     args = parser.parse_args(argv)
 
     os.environ.update(THREAD_ENV)  # before numpy loads
+    if args.one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(args.src.resolve()))
     if args.action == "record":
         args.file.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
         return 0
-    return check(json.loads(args.file.read_text()))
+    status = check(json.loads(args.file.read_text()))
+    if not args.one_cpu:
+        sys.stdout.flush()
+        child = subprocess.run([sys.executable, __file__, "check", str(args.file),
+                                "--src", str(args.src), "--one-cpu"], check=False)
+        status = max(status, child.returncode)
+    return status
 
 
 if __name__ == "__main__":
