@@ -12,10 +12,16 @@ enough work (CONCURRENT_FLOPS) they are computed on helper threads and
 on the calling thread at once. Each reply is computed exactly as it
 would be alone and still added in agent-id order, so a concurrent round
 gives the same bits as a sequential one.
+
+The server's entrywise work on a large variable (ipg's K - alpha R, its
+round-off and the recorded |after - before|) is split the same way, by
+rows (in_row_blocks): every entry is computed by the same operations
+whichever thread computes it, so that split changes no bit either.
 """
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import queue
 import threading
@@ -32,6 +38,13 @@ import numpy as np
 # 608x188 with m=10 estimates 4.3 MFLOP, on stencil:30,30 146 MFLOP; a
 # gd agent on 608x188 23 kFLOP.
 CONCURRENT_FLOPS = 2e6
+
+# Flops per entry of the server's entrywise chain on one variable: K -
+# alpha R (2), round-off (5) and the recorder's copy, |after - before|
+# and sum (3). in_row_blocks splits a variable whose entries times this
+# reach CONCURRENT_FLOPS: stencil:30,30's 900 x 900 K (8.1 MFLOP) goes
+# concurrent, a 188 x 188 K (0.35 MFLOP) and every iterate do not.
+ENTRY_FLOPS = 10
 
 
 def _attempt(ctx, fn, arg):
@@ -109,6 +122,30 @@ def _concurrently(order, compute, consume, helpers):
         for helper in helpers:
             if helper.pending:
                 helper.take()
+
+
+def in_row_blocks(fn, shape):
+    """fn(lo, hi) over contiguous blocks of range(shape[0]) that cover it.
+
+    The blocks, one per CPU, run on this thread and the helpers when the
+    entries of shape times ENTRY_FLOPS reach CONCURRENT_FLOPS and no round
+    holds the helpers; otherwise (a helper's own call included) fn(0,
+    shape[0]) runs alone. fn must touch only rows lo:hi of what it writes.
+    """
+    n = shape[0]
+    concurrent = n > 1 and ENTRY_FLOPS * math.prod(shape) >= CONCURRENT_FLOPS
+    lock, helpers = _helpers() if concurrent else (None, [])
+    if helpers and lock.acquire(blocking=False):
+        try:
+            helpers = helpers[: n - 1]
+            w = len(helpers) + 1
+            bounds = [n * k // w for k in range(w + 1)]
+            _concurrently(range(w), lambda k: fn(bounds[k], bounds[k + 1]),
+                          lambda k, _: None, helpers)
+        finally:
+            lock.release()
+    else:
+        fn(0, n)
 
 
 def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -33,8 +34,8 @@ from .noise import (
     UniformProcessNoise,
     apply_observation_noise,
     observation_eta,
-    realized_l1,
 )
+from .network import in_row_blocks
 from .solvers import METHODS, make_solver, rounds
 
 
@@ -47,21 +48,42 @@ class _RecordingProcessNoise:
     their own streams, so each stream keeps its own sum and count, which
     grow in round order whatever the thread timing; the mean adds the
     streams up in stream order.
+
+    |after - before| is formed by rows in a buffer kept per stream (apc
+    agents corrupt theirs at once) and shape, which no caller ever sees;
+    a variable corrupted in place is copied there first. The buffer is
+    summed whole, so the magnitudes are the bits realized_l1 gives.
     """
 
     def __init__(self, inner, d):
         self._inner = inner
         self._d = d
         self._sums = {}  # stream -> [sum, count]
+        self._diffs = {}  # (stream, shape) -> |after - before| buffer
 
-    def corrupt(self, v, stream, iteration):
-        out = self._inner.corrupt(v, stream, iteration)
-        n = np.asarray(v).size
-        if n:
-            acc = self._sums.setdefault(stream, [0.0, 0])
-            acc[0] += realized_l1(v, out) * (self._d / n)
-            acc[1] += 1
-        return out
+    def corrupt(self, v, stream, iteration, out=None):
+        n = np.size(v)
+        if not n:
+            return self._inner.corrupt(v, stream, iteration, out=out)
+        diff = self._diffs.get((stream, np.shape(v)))
+        if diff is None:
+            diff = self._diffs[stream, np.shape(v)] = np.empty(np.shape(v))
+        rows, before = np.atleast_1d(diff, v)
+        if out is not None and np.may_share_memory(out, v):
+            in_row_blocks(lambda lo, hi: np.copyto(rows[lo:hi], before[lo:hi]), rows.shape)
+            before = rows
+        after = self._inner.corrupt(v, stream, iteration, out=out)
+        changed = np.atleast_1d(after)
+
+        def l1(lo, hi):
+            np.subtract(changed[lo:hi], before[lo:hi], out=rows[lo:hi])
+            np.abs(rows[lo:hi], out=rows[lo:hi])
+
+        in_row_blocks(l1, rows.shape)
+        acc = self._sums.setdefault(stream, [0.0, 0])
+        acc[0] += float(diff.sum()) * (self._d / n)
+        acc[1] += 1
+        return after
 
     @property
     def realized_mean(self):
@@ -158,6 +180,10 @@ class RunConfig:
                     raise ValueError(f"{name} must be <= {high}, got {v!r}")
                 # a numpy scalar is kept as the built-in type, which JSON writes
                 object.__setattr__(self, name, FIELD_TYPES[name](v))
+        # the label names the trace files in an output directory
+        if self.label is not None and (self.label in ("", ".", "..") or "/" in self.label
+                                       or os.sep in self.label):
+            raise ValueError(f"label must be a bare file name, got {self.label!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -574,7 +600,9 @@ GRID_COLUMNS = ("label", "dataset", "method", "noise", "seed", "reps",
 
 def run_grid(configs, out_dir=None, emit_traces=True):
     """Run every config, isolating per-cell failures. Returns (results,
-    summary_rows); optionally writes traces and a grid summary CSV."""
+    summary_rows), one of each per config, the result None for a cell that
+    failed (its run or writing its trace); optionally writes traces and a
+    grid summary CSV."""
     results = []
     summary_rows = []
     cache = {}
@@ -599,12 +627,13 @@ def run_grid(configs, out_dir=None, emit_traces=True):
                 stopped=first.summary["stopped"],
                 diverged_at=first.summary["diverged_at"],
             )
-            results.append(mc)
             if out_dir is not None and emit_traces:
                 emit(first, out_dir)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             row["error"] = f"{type(exc).__name__}: {exc}"
-            results.append(None)
+            mc = None
+        # one result per cell, None where its row reports an error
+        results.append(mc)
         summary_rows.append(row)
 
     if out_dir is not None:

@@ -32,7 +32,7 @@ from itertools import count
 
 import numpy as np
 
-from .network import execute_round
+from .network import execute_round, in_row_blocks
 from .noise import (
     NoProcessNoise,
     STREAM_AGENT_BASE,
@@ -165,11 +165,17 @@ class IPGSolver:
                 G, R_sum = agg
                 # subtracting 0.0 on full spans leaves every bit unchanged
                 R_sum.ravel()[:: d + 1] -= self._left_out
-                # K - alpha R_sum in the aggregate's own fresh buffer:
+
+                # K - alpha R_sum in the aggregate's own fresh buffer, which
+                # the round owns and which is then corrupted in place:
                 # negation is exact, so K + (-(alpha R_sum)) has the same bits
-                R_sum *= -alpha
-                R_sum += state.K
-                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
+                def refine(lo, hi):
+                    R = R_sum[lo:hi]
+                    R *= -alpha
+                    R += state.K[lo:hi]
+
+                in_row_blocks(refine, R_sum.shape)
+                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1, out=R_sum)
             x_next = state.x - delta * (K_next @ G)
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return IPGState(x=x_next, K=K_next)

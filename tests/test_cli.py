@@ -61,6 +61,28 @@ def test_run_negative_seed_exits_2(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "gd"], ["bounds"]])
+@pytest.mark.parametrize("label", ["../escaped", "sub/name", "", ".", ".."])
+def test_label_that_is_not_a_bare_file_name_exits_2(tmp_path, capsys, command, label):
+    out = tmp_path / "out"
+    rc = main([command[0], "--dataset", SPEC, *command[1:], "--label", label, "--out", str(out)])
+    assert rc == 2
+    assert "label must be a bare file name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_with_a_path_label_exits_2_before_any_cell_runs(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "defaults": {"dataset": SPEC, "m": 5, "max_iters": 50},
+        "runs": [{"method": "gd"}, {"method": "gd", "label": "../escaped"}],
+    }))
+    rc = main(["grid", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "runs[1]: label must be a bare file name" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["grid.json"]
+
+
 def test_run_flag_defaults_are_run_config_defaults():
     args = build_parser().parse_args(["run", "--dataset", "X", "--method", "gd"])
     assert _config_from_args(args) == RunConfig("X", "gd")

@@ -15,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlsq import network, solvers
+from dlsq import network, noise, runner, solvers
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.network import execute_round
 from dlsq.noise import (
     NoProcessNoise,
     ObservationNoise,
     RoundoffProcessNoise,
+    STREAM_K,
     UniformProcessNoise,
     apply_observation_noise,
+    roundoff,
 )
 from dlsq.runner import RunConfig, resolve_params, run, trace_csv_text
 from dlsq.solvers import IPGSolver, agent_gradient, make_solver, run_rounds
@@ -329,3 +331,108 @@ def test_rounds_from_more_threads_than_cpus_stay_exact(use_helpers):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == [want] * 4
+
+
+# -- the server's row blocks ------------------------------------------------------
+
+
+def _blocks(shape):
+    """The (lo, hi, thread) blocks in_row_blocks runs for shape, by lo."""
+    seen = []
+    network.in_row_blocks(lambda lo, hi: seen.append((lo, hi, threading.current_thread())),
+                          shape)
+    return sorted(seen, key=lambda b: b[0])
+
+
+def test_row_blocks_cover_every_row_once(use_helpers):
+    # 450 x 500 entries clear CONCURRENT_FLOPS at ENTRY_FLOPS each, 188 x 188 do not
+    assert network.ENTRY_FLOPS * 450 * 500 >= network.CONCURRENT_FLOPS
+    assert network.ENTRY_FLOPS * 188 * 188 < network.CONCURRENT_FLOPS
+    split = _blocks((450, 500))
+    assert len(split) > 1 and split[0][0] == 0 and split[-1][1] == 450
+    assert all(a[1] == b[0] for a, b in zip(split, split[1:]))
+    assert split[0][2] is threading.main_thread()
+    assert len({b[2] for b in split}) == len(split)
+    for shape in ((188, 188), (1, 300_000), (900,)):
+        assert [b[:2] for b in _blocks(shape)] == [(0, shape[0])]
+    use_helpers(False)
+    assert [b[:2] for b in _blocks((450, 500))] == [(0, 450)]
+
+
+def _noted_row_blocks(monkeypatch):
+    """Patch the server's callers of in_row_blocks to note, per block, the
+    thread that asked for the blocks, the thread that ran it and its rows."""
+    noted = []
+    real = network.in_row_blocks
+
+    def noting(fn, shape):
+        caller = threading.current_thread()
+
+        def block(lo, hi):
+            noted.append((caller, threading.current_thread(), lo, hi))
+            fn(lo, hi)
+
+        real(block, shape)
+
+    for module in (solvers, noise, runner):
+        monkeypatch.setattr(module, "in_row_blocks", noting)
+    return noted
+
+
+@pytest.mark.parametrize("noise_kind", ["roundoff", "uniform"])
+def test_row_split_server_equals_sequential_server_bit_for_bit(use_helpers, monkeypatch,
+                                                               noise_kind):
+    name = "stencil:30,30"
+    ds = _problem(name)
+    sp = compute_spectrum(ds.A)
+    config = RunConfig(name, "ipg", m=10, alpha=ABOVE_THRESHOLD[name], max_iters=3,
+                       stop_tol=0.0, noise="process", process_kind=noise_kind,
+                       process_low=-1e-4, noise_level=2e-4)
+    noted = _noted_row_blocks(monkeypatch)
+    results = []
+    for on in (True, False):
+        use_helpers(on)
+        noted.clear()
+        states = []
+        trace = run(config, dataset=ds, spectrum=sp,
+                    on_iteration=lambda state, row: states.append((state.x.copy(),
+                                                                   state.K.copy())))
+        summary = {k: v for k, v in trace.summary.items() if k != "wall_time_s"}
+        results.append((trace_csv_text(trace), summary, states))
+        ran_on = {block_thread for _, block_thread, _, _ in noted}
+        assert threading.main_thread() in ran_on and (len(ran_on) > 1) == on
+    (csv1, summary1, states1), (csv2, summary2, states2) = results
+    assert csv1 == csv2 and summary1 == summary2
+    assert summary1["noise"]["omega_realized_mean"] > 0
+    assert len(states1) == len(states2) == 4
+    for (x1, K1), (x2, K2) in zip(states1, states2):
+        assert np.array_equal(x1, x2) and np.array_equal(K1, K2)
+
+
+def test_large_corrupt_from_an_agent_on_a_helper_runs_alone(use_helpers, monkeypatch):
+    # every round and every row-block call clears the threshold; an agent on
+    # a helper finds the helpers taken by its round and rounds by itself
+    K = np.linspace(-1.0, 1.0, 64 * 64).reshape(64, 64)
+    want = sum(roundoff(K * (i + 1), 2) for i in range(4))
+    monkeypatch.setattr(network, "CONCURRENT_FLOPS", 0.0)
+    noted = _noted_row_blocks(monkeypatch)
+    shards = make_shards(synthesize_problem(40, 3, cond=2.0, seed=0), 4)
+    model = RoundoffProcessNoise(decimals=2)
+
+    def agent(bc, shard, ast):
+        mine = bc[0] * (shard.agent_id + 1)
+        return (model.corrupt(mine, STREAM_K, 0, out=mine),), ast
+
+    got = []
+    caller = threading.Thread(target=lambda: got.append(
+        execute_round((K,), shards, agent, lambda agg: agg[0])), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "a corrupt on a helper did not finish in 60 s"
+    (aggregate, _), = got
+    assert np.array_equal(aggregate, want)
+    # each agent's rounding ran as one block on the thread that asked for it
+    assert len(noted) == 4
+    assert all(ran_on is asker and (lo, hi) == (0, 64) for asker, ran_on, lo, hi in noted)
+    askers = {asker for asker, *_ in noted}
+    assert caller in askers and len(askers) > 1

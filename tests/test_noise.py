@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dlsq import noise
 from dlsq.datasets import make_shards, synthesize_problem
 from dlsq.noise import (
     NoProcessNoise,
@@ -48,6 +49,91 @@ def test_roundoff_error_never_exceeds_half_quantum(rng):
     v = rng.uniform(-10, 10, 10_000)
     err = np.abs(roundoff(v, 4) - v)
     assert err.max() <= 0.5 * 1e-4 + 1e-15
+
+
+def _round_half_away_reference(v, scale):
+    """The reference kernel: floor(|v| scale + 0.5) with v's sign, over scale."""
+    out = np.empty_like(v)
+    np.abs(v, out=out)
+    out *= scale
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, v, out=out)
+    out /= scale
+    return out
+
+
+def _edge_values(decimals, rng):
+    """Signed zeros, infinities, nans, subnormals, the float range's ends,
+    exact half-quanta and their neighbours, and values of every magnitude."""
+    s = 10.0**decimals
+    tiny = np.finfo(float).smallest_subnormal
+    halves = (np.arange(-300, 300) + 0.5) / s
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny,
+               np.finfo(float).tiny, -np.finfo(float).tiny, np.finfo(float).max,
+               -np.finfo(float).max, 0.49999999999999994 / s, -0.49999999999999994 / s,
+               2.0**52 / s, 2.0**53 / s + 1.0]
+    magnitudes = 10.0 ** rng.uniform(-324, 308, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+    near_grid = rng.integers(-10**6, 10**6, 20_000) / (2 * s)
+    return np.concatenate([special, halves, np.nextafter(halves, np.inf),
+                           np.nextafter(halves, -np.inf), magnitudes, near_grid])
+
+
+@pytest.mark.parametrize("decimals", [-300, -20, -4, 0, 1, 4, 8, 16, 300])
+def test_roundoff_in_place_fresh_and_reference_give_the_same_bits(use_helpers, rng, decimals):
+    values = _edge_values(decimals, rng)
+    # every value at least once in 450 x 500 entries, which are split over
+    # the helpers by rows
+    v = np.resize(values, (450, 500))
+    model = RoundoffProcessNoise(decimals=decimals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _round_half_away_reference(v, 10.0**decimals)
+        fresh = model.corrupt(v, STREAM_K, 0)
+        inplace = v.copy()
+        assert model.corrupt(inplace, STREAM_K, 0, out=inplace) is inplace
+        flat = values.copy()
+        model.corrupt(flat, STREAM_X, 0, out=flat)
+        flat_want = _round_half_away_reference(values, 10.0**decimals)
+    for got, ref in ((fresh, want), (inplace, want), (flat, flat_want)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # inf and nan survive the rounding, so the divergence guard still sees them
+    assert np.array_equal(np.isnan(inplace), np.isnan(v))
+    assert np.all(inplace[np.isinf(v)] == v[np.isinf(v)])
+    assert roundoff(-0.0, decimals) == 0.0 and np.signbit(roundoff(-0.0, decimals))
+
+
+def test_roundoff_row_blocks_write_their_own_rows_only(monkeypatch):
+    # uneven blocks, run last first, with kernel passes of two rows that
+    # straddle the block ends
+    v = np.linspace(-3.0, 3.0, 28).reshape(7, 4) + 1e-5
+    want = _round_half_away_reference(v, 10.0)
+    out = np.full_like(v, np.nan)
+
+    def blocks(fn, shape):
+        for lo, hi in [(4, 7), (1, 4), (0, 1)]:
+            before = out.copy()
+            fn(lo, hi)
+            outside = np.ones(shape[0], bool)
+            outside[lo:hi] = False
+            assert np.array_equal(out[outside], before[outside], equal_nan=True)
+
+    monkeypatch.setattr(noise, "in_row_blocks", blocks)
+    monkeypatch.setattr(noise, "_ROUND_ENTRIES", 9)
+    RoundoffProcessNoise(decimals=1).corrupt(v, STREAM_K, 0, out=out)
+    assert np.array_equal(out, want)
+
+
+def test_process_models_write_into_out():
+    v = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for model in (RoundoffProcessNoise(decimals=1), UniformProcessNoise(seed=2, low=-1, high=1),
+                  NoProcessNoise()):
+        want = model.corrupt(v, STREAM_K, 5)
+        out = np.empty_like(v)
+        assert model.corrupt(v, STREAM_K, 5, out=out) is out
+        assert np.array_equal(out, want)
+        inplace = v.copy()
+        assert model.corrupt(inplace, STREAM_K, 5, out=inplace) is inplace
+        assert np.array_equal(inplace, want)
 
 
 def test_roundoff_process_model_is_deterministic():

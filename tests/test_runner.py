@@ -13,12 +13,15 @@ from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.noise import (
+    RoundoffProcessNoise,
     STREAM_AGENT_BASE,
     STREAM_K,
     STREAM_M,
     STREAM_X,
     STREAM_XBAR,
     UniformProcessNoise,
+    realized_l1,
+    roundoff,
 )
 from dlsq.runner import (
     DEFAULT_PARAMS,
@@ -162,6 +165,11 @@ def test_run_validates_method_and_noise():
     ("roundoff_decimals", 4.0),
     ("roundoff_decimals", 309),
     ("roundoff_decimals", -309),
+    ("label", "../escaped"),
+    ("label", "a/b"),
+    ("label", ""),
+    ("label", "."),
+    ("label", ".."),
 ])
 def test_run_config_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -256,7 +264,7 @@ class _Fault:
     def __init__(self, stream, value, at):
         self.stream, self.value, self.at = stream, value, at
 
-    def corrupt(self, v, stream, iteration):
+    def corrupt(self, v, stream, iteration, out=None):
         if (stream, iteration) != (self.stream, self.at):
             return v
         out = np.array(v, dtype=np.float64, copy=True)
@@ -481,6 +489,23 @@ def test_grid_runs_and_isolates_failures(tmp_path):
     assert (tmp_path / "out" / "synth-60x10-c4-s3-ipg-none-s4.csv").exists()
 
 
+def test_grid_keeps_one_result_per_cell_when_a_trace_write_fails(tmp_path, monkeypatch):
+    real = runner.emit
+
+    def emit_or_fail(trace, out_dir):
+        if trace.config.label == "unwritable":
+            raise OSError("disk full")
+        return real(trace, out_dir)
+
+    monkeypatch.setattr(runner, "emit", emit_or_fail)
+    configs = [cfg(method="gd", label=label, max_iters=20) for label in ("a", "unwritable", "c")]
+    results, rows = run_grid(configs, out_dir=tmp_path)
+    assert len(results) == len(rows) == 3
+    assert [r is None for r in results] == [False, True, False]
+    assert [row["error"] for row in rows] == ["", "OSError: disk full", ""]
+    assert results[2].first_trace.config.label == "c"
+
+
 def test_empty_grid_is_fine(tmp_path):
     grid_file = tmp_path / "grid.json"
     grid_file.write_text(json.dumps({"runs": []}))
@@ -561,6 +586,46 @@ def test_realized_noise_mean_does_not_depend_on_stream_interleaving(rng):
                 recorder.corrupt(np.full(1 + stream % 7, 0.5), stream, t)
         means.append(recorder.realized_mean)
     assert means[0] == means[1]
+
+
+class _ParentRecorder(runner._RecordingProcessNoise):
+    """The realized-noise formula the row-split recorder replaced: a fresh
+    corruption and realized_l1 of it, per call."""
+
+    def corrupt(self, v, stream, iteration, out=None):
+        after = self._inner.corrupt(v, stream, iteration)
+        acc = self._sums.setdefault(stream, [0.0, 0])
+        acc[0] += realized_l1(v, after) * (self._d / np.size(v))
+        acc[1] += 1
+        return after
+
+
+@pytest.mark.parametrize("dataset, method", [("stencil:30,30", "ipg"), (SPEC, "ipg"),
+                                             (SPEC, "bfgs"), (SPEC, "apc")])
+@pytest.mark.parametrize("kind", ["roundoff", "uniform"])
+def test_realized_noise_mean_equals_the_fresh_corruption_formula(use_helpers, monkeypatch,
+                                                                  dataset, method, kind):
+    # on stencil:30,30 the recorder forms |after - before| of K by rows on helpers
+    config = RunConfig(dataset, method, m=10, max_iters=4, stop_tol=0.0, noise="process",
+                       process_kind=kind, process_low=-1e-4, noise_level=2e-4,
+                       **({"alpha": 0.007} if dataset.startswith("stencil") else {}))
+    ds = load_dataset(dataset)
+    sp = compute_spectrum(ds.A)
+    got = run(config, dataset=ds, spectrum=sp)
+    monkeypatch.setattr(runner, "_RecordingProcessNoise", _ParentRecorder)
+    want = run(config, dataset=ds, spectrum=sp)
+    assert got.summary["noise"]["omega_realized_mean"] > 0
+    assert without_wall_time(got.summary) == without_wall_time(want.summary)
+    assert trace_csv_text(got) == trace_csv_text(want)
+
+
+def test_recorder_keeps_the_entries_of_a_variable_corrupted_through_a_view():
+    recorder = runner._RecordingProcessNoise(RoundoffProcessNoise(decimals=1), 4)
+    v = np.linspace(-1.0, 1.0, 8).reshape(2, 4) + 0.01
+    want = realized_l1(v, roundoff(v, 1)) * (4 / 8)
+    w = v.copy()
+    assert np.array_equal(recorder.corrupt(w, STREAM_K, 0, out=w[:]), roundoff(v, 1))
+    assert recorder.realized_mean == want > 0
 
 
 def test_process_summary_records_realized_level():

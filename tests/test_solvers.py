@@ -12,6 +12,7 @@ from dlsq.network import execute_round
 from dlsq.noise import (
     NoProcessNoise,
     ObservationNoise,
+    STREAM_K,
     UniformProcessNoise,
     apply_observation_noise,
 )
@@ -20,6 +21,7 @@ from dlsq.solvers import (
     BFGSSolver,
     BFGSState,
     IPGSolver,
+    METHODS,
     agent_gradient,
     agent_r_matrix,
     bfgs_update,
@@ -564,6 +566,30 @@ def test_ipg_process_sequencing_oracle():
     xs = trajectory(("ipg", {"alpha": alpha, "delta": delta}), ds, m=1,
                     n_rounds=6, pnoise=pn, seed=seed)
     np.testing.assert_allclose(xs, oracle, rtol=1e-12, atol=1e-14)
+
+
+class _SpyNoise:
+    """No noise; notes (stream, iteration, whether v is corrupted in place)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def corrupt(self, v, stream, iteration, out=None):
+        self.calls.append((stream, iteration, out is v))
+        return v
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_only_ipg_corrupts_in_place_and_only_its_refined_k(small_problem, method):
+    # K - alpha R is formed in the round's own aggregate; every other
+    # corrupted variable may be held elsewhere (bfgs hands back state.M)
+    spy = _SpyNoise()
+    params = resolve_params(RunConfig(dataset=small_problem.name, method=method),
+                            small_problem.name, compute_spectrum(small_problem.A))
+    run_rounds(make_solver(method, params), make_shards(small_problem, 3),
+               small_problem.n_cols, 3, spy)
+    in_place = {(stream, t) for stream, t, inplace in spy.calls if inplace}
+    assert in_place == ({(STREAM_K, t) for t in (1, 2, 3)} if method == "ipg" else set())
 
 
 def test_unknown_method_rejected():

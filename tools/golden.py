@@ -1,4 +1,4 @@
-"""The golden gate: 108 fixed runs whose traces a change should keep.
+"""The golden gate: 109 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR] [--one-cpu]
@@ -8,9 +8,11 @@ none / observation 0.05 / round-off / uniform (-1e-4, 2e-4) process
 noise x seeds 0 and 5, 300 rounds, m=10, stop_tol=0, plus five runs
 that diverge (DIVERGING) on synth:60,10,4,3 with m=5, seeds 0 and 5,
 300 rounds, stop_tol=0, so the round the divergence guard trips at is
-pinned too, plus two ipg runs whose agents are computed concurrently
-(CONCURRENT: synth:608,188,10,3 under observation noise 0.05 and
-stencil:30,30 under round-off, seed 0, 30 rounds, m=10). ``record``
+pinned too, plus three ipg runs whose agents are computed concurrently
+(CONCURRENT: synth:608,188,10,3 under observation noise 0.05, and
+stencil:30,30 under round-off and under uniform (-1e-4, 2e-4) process
+noise, whose d x d K is also updated, corrupted and recorded by rows on
+every CPU; seed 0, 30 rounds, m=10). ``record``
 writes, for every run, the SHA-256 of ``trace_csv_text``, the text
 itself and the stop reason. ``check`` reruns the set and, for every
 trace whose hash differs, prints the largest absolute err gap, the
@@ -56,12 +58,13 @@ DIVERGING = {
     "bfgs-uniform": {"method": "bfgs", "noise": "process", "process_kind": "uniform",
                      "process_low": -0.1, "noise_level": 0.2},
 }
-# agents with enough work (network.CONCURRENT_FLOPS) to run on helper threads
+# agents with enough work (network.CONCURRENT_FLOPS) to run on helper threads;
+# on stencil:30,30 the server's entrywise work on K is split by rows too
 CONCURRENT = {
     "synth:608,188,10,3/ipg/observation/s0": {"dataset": "synth:608,188,10,3",
                                              "noise": "observation", "noise_level": 0.05},
-    "stencil:30,30/ipg/roundoff/s0": {"dataset": "stencil:30,30", "noise": "process",
-                                      "process_kind": "roundoff"},
+    "stencil:30,30/ipg/roundoff/s0": {"dataset": "stencil:30,30", **NOISES["roundoff"]},
+    "stencil:30,30/ipg/uniform/s0": {"dataset": "stencil:30,30", **NOISES["uniform"]},
 }
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
