@@ -137,17 +137,11 @@ def parse_matrix_market(source):
 
     Supports coordinate and array formats, real/integer/pattern fields,
     general and symmetric qualifiers. Pattern entries take the value 1.0.
-    Duplicate coordinate entries are summed. Raises MatrixMarketError
-    naming the offending 1-based line number.
+    Duplicate coordinate entries are summed. source is a path or a file
+    object; a missing path raises FileNotFoundError. Raises
+    MatrixMarketError naming the offending 1-based line number.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            text = str(source)
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     lines = text.splitlines()
     if not lines:
         raise MatrixMarketError("empty input", 1)

@@ -40,8 +40,8 @@ import numpy as np
 CONCURRENT_FLOPS = 2e6
 
 # Flops per entry of the server's entrywise chain on one variable: K -
-# alpha R (2), round-off (5) and the recorder's copy, |after - before|
-# and sum (3). in_row_blocks splits a variable whose entries times this
+# alpha R (2), round-off (5) and recording it: a copy, |after - before|
+# and the sum (3). in_row_blocks splits a variable whose entries times this
 # reach CONCURRENT_FLOPS: stencil:30,30's 900 x 900 K (8.1 MFLOP) goes
 # concurrent, a 188 x 188 K (0.35 MFLOP) and every iterate do not.
 ENTRY_FLOPS = 10
@@ -160,6 +160,8 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
 
     agent_states aligns positionally with shards (None for stateless agents).
     """
+    if not shards:
+        raise ValueError("a round needs at least one shard")
     if agent_states is None:
         agent_states = [None] * len(shards)
     if len(agent_states) != len(shards):
@@ -170,7 +172,7 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate agent_id in shards")
 
-    full = slice(0, shards[order[0]].A.shape[1]) if order else None
+    full = slice(0, shards[order[0]].A.shape[1])
     aggregate = None
     new_states = list(agent_states)
 

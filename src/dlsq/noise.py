@@ -10,12 +10,12 @@ Every random draw comes from a counter-based Philox stream keyed by
 draws depend only on (seed, variable, iteration) and never on evaluation
 order.
 
-A process model's corrupt(v, stream, iteration, out=None) returns the
-corrupted variable. Like numpy's out=, an array passed as out receives
-the result and is what is returned; it may be v itself, which is then
-corrupted in place. Round-off writes the rounded entries into out by row
-blocks; uniform noise adds its draws into out; without process noise v
-itself is returned.
+A process model's corrupt(v, stream, iteration, l1=None) overwrites v,
+which the caller owns, with the corrupted variable and returns it. Given
+an array l1 of v's shape, it also writes |after - before| there, in the
+same row-block pass that corrupts each block (in_row_blocks). Round-off
+rounds v by rows; uniform noise adds its draws to v; without process
+noise v is left as it is.
 """
 from __future__ import annotations
 
@@ -91,11 +91,10 @@ def apply_observation_noise(shards, seed, model):
 class NoProcessNoise:
     """Identity corruption; keeps solver code free of branches."""
 
-    def corrupt(self, v, stream, iteration, out=None):
-        if out is None or out is v:
-            return v
-        out[...] = v
-        return out
+    def corrupt(self, v, stream, iteration, l1=None):
+        if l1 is not None:
+            np.abs(np.subtract(v, v, out=l1), out=l1)
+        return v
 
     def l1_bound(self, length):
         return 0.0
@@ -109,9 +108,12 @@ class UniformProcessNoise:
     low: float
     high: float
 
-    def corrupt(self, v, stream, iteration, out=None):
+    def corrupt(self, v, stream, iteration, l1=None):
         gen = stream_generator(self.seed, stream, iteration)
-        return np.add(v, gen.uniform(self.low, self.high, np.shape(v)), out=out)
+        rows, draws = np.atleast_1d(v, gen.uniform(self.low, self.high, np.shape(v)))
+        add = _tracking(rows, l1, lambda sl: np.add(rows[sl], draws[sl], out=rows[sl]))
+        in_row_blocks(lambda lo, hi: add(slice(lo, hi)), rows.shape)
+        return v
 
     def l1_bound(self, length):
         # exact expectation of the l1 norm of one length-`length` draw
@@ -124,12 +126,27 @@ class RoundoffProcessNoise:
 
     decimals: int = 4
 
-    def corrupt(self, v, stream, iteration, out=None):
-        return _round_half_away(np.asarray(v, dtype=np.float64), 10.0 ** self.decimals, out)
+    def corrupt(self, v, stream, iteration, l1=None):
+        return _round_half_away(v, 10.0 ** self.decimals, l1)
 
     def l1_bound(self, length):
         # deterministic bound: each entry moves by at most half a quantum
         return length * 0.5 * 10.0 ** (-self.decimals)
+
+
+def _tracking(rows, l1, change):
+    """change(sl) rewrites rows[sl] in place; given l1, return it wrapped to
+    also write each slice's |after - before| into the same rows of l1."""
+    if l1 is None:
+        return change
+    diff = np.atleast_1d(l1)
+
+    def tracked(sl):
+        np.copyto(diff[sl], rows[sl])
+        change(sl)
+        np.abs(np.subtract(rows[sl], diff[sl], out=diff[sl]), out=diff[sl])
+
+    return tracked
 
 
 # entries rounded per pass of the kernel, so its +-0.5 buffer (512 kB per
@@ -139,23 +156,21 @@ _SIGN_BIT = np.int64(-(2**63))
 _HALF_BITS = np.float64(0.5).view(np.int64)
 
 
-def _round_half_away(v, scale, out=None):
-    """Write v rounded half away from zero at the quantum 1/scale into out
-    (a fresh array if None, else any array, v included) and return out.
-    With y = v * scale, trunc(y + copysign(0.5, y)) makes the same
-    additions as floor(|y| + 0.5) with y's sign restored, so it gives the
-    same bits, and reads nothing but y."""
-    if out is None:
-        out = np.empty_like(v)
-    src, dst = np.atleast_1d(v, out)  # a 0-d value as one row
-    step = max(1, _ROUND_ENTRIES // max(math.prod(dst.shape[1:]), 1))
+def _round_half_away(v, scale, l1=None):
+    """Round v half away from zero at the quantum 1/scale in place and
+    return it, writing |after - before| into l1 if given. With y = v *
+    scale, trunc(y + copysign(0.5, y)) makes the same additions as floor(|y|
+    + 0.5) with y's sign restored, so it gives the same bits, and reads
+    nothing but y."""
+    rows = np.atleast_1d(v)  # a 0-d value as one row
+    step = max(1, _ROUND_ENTRIES // max(math.prod(rows.shape[1:]), 1))
 
-    def rows(lo, hi):
-        half = np.empty((min(step, hi - lo),) + dst.shape[1:])
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            y, h = dst[a:b], half[: b - a]
-            np.multiply(src[a:b], scale, out=y)
+    def block(lo, hi):
+        half = np.empty((min(step, hi - lo),) + rows.shape[1:])
+
+        def round_rows(sl):
+            y, h = rows[sl], half[: sl.stop - sl.start]
+            y *= scale
             # h = copysign(0.5, y) set on y's sign bit: numpy vectorizes the
             # integer ufuncs and not copysign (0.17 against 0.36 ms on
             # 900 x 900, one thread of a 2-vCPU AMD EPYC VM)
@@ -165,15 +180,18 @@ def _round_half_away(v, scale, out=None):
             np.trunc(y, out=y)
             y /= scale
 
-    in_row_blocks(rows, dst.shape)
-    return out
+        rounding = _tracking(rows, l1, round_rows)
+        for a in range(lo, hi, step):
+            rounding(slice(a, min(a + step, hi)))
+
+    in_row_blocks(block, rows.shape)
+    return v
 
 
 def roundoff(v, decimals=4):
     """Round half away from zero at `decimals` places (scalar or array)."""
-    arr = np.asarray(v, dtype=np.float64)
-    out = _round_half_away(arr, 10.0 ** decimals)
-    return float(out) if arr.ndim == 0 else out
+    out = _round_half_away(np.array(v, dtype=np.float64), 10.0 ** decimals)
+    return float(out) if out.ndim == 0 else out
 
 
 def realized_l1(before, after):

@@ -35,7 +35,6 @@ from .noise import (
     apply_observation_noise,
     observation_eta,
 )
-from .network import in_row_blocks
 from .solvers import METHODS, make_solver, rounds
 
 
@@ -49,41 +48,26 @@ class _RecordingProcessNoise:
     grow in round order whatever the thread timing; the mean adds the
     streams up in stream order.
 
-    |after - before| is formed by rows in a buffer kept per stream (apc
-    agents corrupt theirs at once) and shape, which no caller ever sees;
-    a variable corrupted in place is copied there first. The buffer is
-    summed whole, so the magnitudes are the bits realized_l1 gives.
+    The model writes |after - before| into a buffer kept per stream (apc
+    agents corrupt theirs at once), which no caller ever sees. The buffer
+    is summed whole, so the magnitudes are the bits realized_l1 gives.
     """
 
     def __init__(self, inner, d):
         self._inner = inner
         self._d = d
         self._sums = {}  # stream -> [sum, count]
-        self._diffs = {}  # (stream, shape) -> |after - before| buffer
+        self._diffs = {}  # stream -> |after - before| buffer
 
-    def corrupt(self, v, stream, iteration, out=None):
-        n = np.size(v)
-        if not n:
-            return self._inner.corrupt(v, stream, iteration, out=out)
-        diff = self._diffs.get((stream, np.shape(v)))
+    def corrupt(self, v, stream, iteration):
+        diff = self._diffs.get(stream)
         if diff is None:
-            diff = self._diffs[stream, np.shape(v)] = np.empty(np.shape(v))
-        rows, before = np.atleast_1d(diff, v)
-        if out is not None and np.may_share_memory(out, v):
-            in_row_blocks(lambda lo, hi: np.copyto(rows[lo:hi], before[lo:hi]), rows.shape)
-            before = rows
-        after = self._inner.corrupt(v, stream, iteration, out=out)
-        changed = np.atleast_1d(after)
-
-        def l1(lo, hi):
-            np.subtract(changed[lo:hi], before[lo:hi], out=rows[lo:hi])
-            np.abs(rows[lo:hi], out=rows[lo:hi])
-
-        in_row_blocks(l1, rows.shape)
+            diff = self._diffs[stream] = np.empty(np.shape(v))
+        self._inner.corrupt(v, stream, iteration, l1=diff)
         acc = self._sums.setdefault(stream, [0.0, 0])
-        acc[0] += float(diff.sum()) * (self._d / n)
+        acc[0] += float(diff.sum()) * (self._d / diff.size)
         acc[1] += 1
-        return after
+        return v
 
     @property
     def realized_mean(self):

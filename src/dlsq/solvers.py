@@ -167,15 +167,15 @@ class IPGSolver:
                 R_sum.ravel()[:: d + 1] -= self._left_out
 
                 # K - alpha R_sum in the aggregate's own fresh buffer, which
-                # the round owns and which is then corrupted in place:
-                # negation is exact, so K + (-(alpha R_sum)) has the same bits
+                # the round owns and corrupts: negation is exact, so
+                # K + (-(alpha R_sum)) has the same bits
                 def refine(lo, hi):
                     R = R_sum[lo:hi]
                     R *= -alpha
                     R += state.K[lo:hi]
 
                 in_row_blocks(refine, R_sum.shape)
-                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1, out=R_sum)
+                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
             x_next = state.x - delta * (K_next @ G)
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return IPGState(x=x_next, K=K_next)
@@ -272,17 +272,18 @@ class BFGSSolver:
 
         def server(agg):
             G = agg[0]
-            M = state.M
+            M = None
             skipped = state.skipped
             if state.g_prev is not None:
                 s = state.x - state.x_prev
                 y = G - state.g_prev
                 sy = float(s @ y)
                 if sy > 0.0 and np.isfinite(sy):
-                    M = bfgs_update(M, s, y, sy)
+                    M = bfgs_update(state.M, s, y, sy)
                 else:
                     skipped = skipped + [t]
-            M = pnoise.corrupt(M, STREAM_M, t + 1)
+            # corrupt overwrites M, and the last state still holds state.M
+            M = pnoise.corrupt(state.M.copy() if M is None else M, STREAM_M, t + 1)
             x_next = state.x - M @ G
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return BFGSState(x=x_next, M=M, x_prev=state.x, g_prev=G, skipped=skipped)

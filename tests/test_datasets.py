@@ -249,6 +249,17 @@ def test_load_dataset_missing_registry_file_names_source(tmp_path, monkeypatch):
     assert "sparse.tamu.edu" in str(ei.value)
 
 
+def test_parse_matrix_market_missing_path_names_it(tmp_path):
+    # a string is a path, never file text
+    missing = tmp_path / "missing.mtx"
+    for source in (missing, str(missing)):
+        with pytest.raises(FileNotFoundError, match="missing.mtx"):
+            parse_matrix_market(source)
+    p = tmp_path / "tiny.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n2 1\n1.5\n-2\n")
+    np.testing.assert_array_equal(parse_matrix_market(str(p)), [[1.5], [-2.0]])
+
+
 def test_load_dataset_from_mtx_path(tmp_path):
     p = tmp_path / "tiny.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n"

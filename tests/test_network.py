@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlsq import network, noise, runner, solvers
+from dlsq import network, noise, solvers
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.network import execute_round
 from dlsq.noise import (
@@ -117,6 +117,11 @@ def test_duplicate_agent_ids_rejected():
     with pytest.raises(ValueError):
         execute_round((None,), dup, lambda b, s, a: ((np.zeros(1),), a),
                       lambda agg: None)
+
+
+def test_round_without_shards_rejected():
+    with pytest.raises(ValueError, match="at least one shard"):
+        execute_round((None,), [], lambda b, s, a: ((np.zeros(1),), a), lambda agg: None)
 
 
 def test_replies_of_different_arity_rejected():
@@ -374,7 +379,7 @@ def _noted_row_blocks(monkeypatch):
 
         real(block, shape)
 
-    for module in (solvers, noise, runner):
+    for module in (solvers, noise):
         monkeypatch.setattr(module, "in_row_blocks", noting)
     return noted
 
@@ -421,7 +426,7 @@ def test_large_corrupt_from_an_agent_on_a_helper_runs_alone(use_helpers, monkeyp
 
     def agent(bc, shard, ast):
         mine = bc[0] * (shard.agent_id + 1)
-        return (model.corrupt(mine, STREAM_K, 0, out=mine),), ast
+        return (model.corrupt(mine, STREAM_K, 0),), ast
 
     got = []
     caller = threading.Thread(target=lambda: got.append(

@@ -88,13 +88,14 @@ def test_roundoff_in_place_fresh_and_reference_give_the_same_bits(use_helpers, r
     model = RoundoffProcessNoise(decimals=decimals)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _round_half_away_reference(v, 10.0**decimals)
-        fresh = model.corrupt(v, STREAM_K, 0)
-        inplace = v.copy()
-        assert model.corrupt(inplace, STREAM_K, 0, out=inplace) is inplace
+        fresh = roundoff(v, decimals)
+        inplace, l1 = v.copy(), np.empty_like(v)
+        assert model.corrupt(inplace, STREAM_K, 0, l1=l1) is inplace
         flat = values.copy()
-        model.corrupt(flat, STREAM_X, 0, out=flat)
+        assert model.corrupt(flat, STREAM_X, 0) is flat
         flat_want = _round_half_away_reference(values, 10.0**decimals)
-    for got, ref in ((fresh, want), (inplace, want), (flat, flat_want)):
+        l1_want = np.abs(want - v)
+    for got, ref in ((fresh, want), (inplace, want), (flat, flat_want), (l1, l1_want)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     # inf and nan survive the rounding, so the divergence guard still sees them
     assert np.array_equal(np.isnan(inplace), np.isnan(v))
@@ -104,43 +105,47 @@ def test_roundoff_in_place_fresh_and_reference_give_the_same_bits(use_helpers, r
 
 def test_roundoff_row_blocks_write_their_own_rows_only(monkeypatch):
     # uneven blocks, run last first, with kernel passes of two rows that
-    # straddle the block ends
+    # straddle the block ends; the variable and l1 change only in the block
     v = np.linspace(-3.0, 3.0, 28).reshape(7, 4) + 1e-5
     want = _round_half_away_reference(v, 10.0)
-    out = np.full_like(v, np.nan)
+    w, l1 = v.copy(), np.full_like(v, np.nan)
 
     def blocks(fn, shape):
         for lo, hi in [(4, 7), (1, 4), (0, 1)]:
-            before = out.copy()
+            before = w.copy(), l1.copy()
             fn(lo, hi)
             outside = np.ones(shape[0], bool)
             outside[lo:hi] = False
-            assert np.array_equal(out[outside], before[outside], equal_nan=True)
+            for now, was in zip((w, l1), before):
+                assert np.array_equal(now[outside], was[outside], equal_nan=True)
 
     monkeypatch.setattr(noise, "in_row_blocks", blocks)
     monkeypatch.setattr(noise, "_ROUND_ENTRIES", 9)
-    RoundoffProcessNoise(decimals=1).corrupt(v, STREAM_K, 0, out=out)
-    assert np.array_equal(out, want)
+    assert RoundoffProcessNoise(decimals=1).corrupt(w, STREAM_K, 0, l1=l1) is w
+    assert np.array_equal(w, want)
+    assert np.array_equal(l1, np.abs(want - v))
 
 
-def test_process_models_write_into_out():
+def test_process_models_corrupt_in_place_and_write_l1():
     v = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    for model in (RoundoffProcessNoise(decimals=1), UniformProcessNoise(seed=2, low=-1, high=1),
-                  NoProcessNoise()):
-        want = model.corrupt(v, STREAM_K, 5)
-        out = np.empty_like(v)
-        assert model.corrupt(v, STREAM_K, 5, out=out) is out
-        assert np.array_equal(out, want)
+    draws = stream_generator(2, STREAM_K, 5).uniform(-1, 1, v.shape)
+    for model, want in ((RoundoffProcessNoise(decimals=1), roundoff(v, 1)),
+                        (UniformProcessNoise(seed=2, low=-1, high=1), v + draws),
+                        (NoProcessNoise(), v)):
         inplace = v.copy()
-        assert model.corrupt(inplace, STREAM_K, 5, out=inplace) is inplace
+        assert model.corrupt(inplace, STREAM_K, 5) is inplace
         assert np.array_equal(inplace, want)
+        tracked, l1 = v.copy(), np.full_like(v, np.nan)
+        assert model.corrupt(tracked, STREAM_K, 5, l1=l1) is tracked
+        assert np.array_equal(tracked, want)
+        assert np.array_equal(l1, np.abs(want - v))
 
 
 def test_roundoff_process_model_is_deterministic():
     model = RoundoffProcessNoise(decimals=4)
     v = np.array([1.23456789, -0.00004999])
-    a = model.corrupt(v, STREAM_X, 3)
-    b = model.corrupt(v, STREAM_X, 900)
+    a = model.corrupt(v.copy(), STREAM_X, 3)
+    b = model.corrupt(v.copy(), STREAM_X, 900)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, [1.2346, 0.0])
 
@@ -156,7 +161,7 @@ def test_roundoff_mean_error_quarter_quantum(rng):
     samples = []
     for _ in range(400):
         v = rng.uniform(-1, 1, d)
-        samples.append(model.corrupt(v, STREAM_X, 0) - v)
+        samples.append(model.corrupt(v.copy(), STREAM_X, 0) - v)
     level = float(np.mean([np.abs(w).sum() for w in samples]))
     assert level == pytest.approx(188 * 0.25e-4, rel=0.05)
 
@@ -187,12 +192,11 @@ def test_successive_iterations_uncorrelated():
 
 def test_uniform_process_noise_range_and_freshness():
     model = UniformProcessNoise(seed=5, low=0.0, high=1e-3)
-    v = np.zeros(50)
-    w1 = model.corrupt(v, STREAM_X, 1)
-    w2 = model.corrupt(v, STREAM_X, 2)
+    w1 = model.corrupt(np.zeros(50), STREAM_X, 1)
+    w2 = model.corrupt(np.zeros(50), STREAM_X, 2)
     assert np.all(w1 >= 0.0) and np.all(w1 < 1e-3)
     assert not np.array_equal(w1, w2)
-    np.testing.assert_array_equal(w1, model.corrupt(v, STREAM_X, 1))
+    np.testing.assert_array_equal(w1, model.corrupt(np.zeros(50), STREAM_X, 1))
 
 
 def test_no_process_noise_is_identity():

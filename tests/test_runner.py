@@ -1,5 +1,6 @@
 """Run orchestration: parameter defaults, stop rule, traces, grids."""
 import json
+import threading
 import warnings
 from dataclasses import asdict, replace
 from itertools import count
@@ -13,7 +14,6 @@ from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
 from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.noise import (
-    RoundoffProcessNoise,
     STREAM_AGENT_BASE,
     STREAM_K,
     STREAM_M,
@@ -21,7 +21,6 @@ from dlsq.noise import (
     STREAM_XBAR,
     UniformProcessNoise,
     realized_l1,
-    roundoff,
 )
 from dlsq.runner import (
     DEFAULT_PARAMS,
@@ -264,12 +263,10 @@ class _Fault:
     def __init__(self, stream, value, at):
         self.stream, self.value, self.at = stream, value, at
 
-    def corrupt(self, v, stream, iteration, out=None):
-        if (stream, iteration) != (self.stream, self.at):
-            return v
-        out = np.array(v, dtype=np.float64, copy=True)
-        out.flat[0] = self.value
-        return out
+    def corrupt(self, v, stream, iteration):
+        if (stream, iteration) == (self.stream, self.at):
+            v.flat[0] = self.value
+        return v
 
 
 # process-noise streams, written at round 7, and agent replies, at round 5
@@ -588,14 +585,50 @@ def test_realized_noise_mean_does_not_depend_on_stream_interleaving(rng):
     assert means[0] == means[1]
 
 
-class _ParentRecorder(runner._RecordingProcessNoise):
-    """The realized-noise formula the row-split recorder replaced: a fresh
-    corruption and realized_l1 of it, per call."""
+class _WaitingModel:
+    """Writes a distinct l1 for each (stream, iteration), then waits on barrier."""
 
-    def corrupt(self, v, stream, iteration, out=None):
+    def __init__(self, barrier):
+        self.barrier = barrier
+
+    def corrupt(self, v, stream, iteration, l1=None):
+        l1[...] = np.arange(l1.size).reshape(l1.shape) * stream + iteration
+        self.barrier.wait()
+        return v
+
+
+def test_recorder_keeps_a_buffer_per_stream_for_concurrent_calls():
+    # two threads corrupt two streams of one shape at once: each model call
+    # has written its l1 before either returns
+    streams = (STREAM_AGENT_BASE, STREAM_AGENT_BASE + 1)
+
+    def corrupt_all(recorder, stream_list):
+        for stream in stream_list:
+            for t in range(3):
+                recorder.corrupt(np.zeros((3, 4)), stream, t)
+
+    recorder = runner._RecordingProcessNoise(_WaitingModel(threading.Barrier(2, timeout=30)), 4)
+    threads = [threading.Thread(target=corrupt_all, args=(recorder, [s])) for s in streams]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    sequential = runner._RecordingProcessNoise(_WaitingModel(threading.Barrier(1)), 4)
+    corrupt_all(sequential, streams)
+    assert recorder._sums == sequential._sums
+    assert sequential._sums[streams[0]] != sequential._sums[streams[1]]
+
+
+class _ParentRecorder(runner._RecordingProcessNoise):
+    """The fresh realized-noise formula: realized_l1 of each corruption
+    against a copy of the variable taken before it."""
+
+    def corrupt(self, v, stream, iteration):
+        before = v.copy()
         after = self._inner.corrupt(v, stream, iteration)
         acc = self._sums.setdefault(stream, [0.0, 0])
-        acc[0] += realized_l1(v, after) * (self._d / np.size(v))
+        acc[0] += realized_l1(before, after) * (self._d / np.size(v))
         acc[1] += 1
         return after
 
@@ -617,15 +650,6 @@ def test_realized_noise_mean_equals_the_fresh_corruption_formula(use_helpers, mo
     assert got.summary["noise"]["omega_realized_mean"] > 0
     assert without_wall_time(got.summary) == without_wall_time(want.summary)
     assert trace_csv_text(got) == trace_csv_text(want)
-
-
-def test_recorder_keeps_the_entries_of_a_variable_corrupted_through_a_view():
-    recorder = runner._RecordingProcessNoise(RoundoffProcessNoise(decimals=1), 4)
-    v = np.linspace(-1.0, 1.0, 8).reshape(2, 4) + 0.01
-    want = realized_l1(v, roundoff(v, 1)) * (4 / 8)
-    w = v.copy()
-    assert np.array_equal(recorder.corrupt(w, STREAM_K, 0, out=w[:]), roundoff(v, 1))
-    assert recorder.realized_mean == want > 0
 
 
 def test_process_summary_records_realized_level():

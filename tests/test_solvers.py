@@ -1,5 +1,6 @@
 """Solver update rules against hand and brute-force oracles."""
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dlsq.network import execute_round
 from dlsq.noise import (
     NoProcessNoise,
     ObservationNoise,
+    RoundoffProcessNoise,
     STREAM_K,
     UniformProcessNoise,
     apply_observation_noise,
@@ -28,6 +30,7 @@ from dlsq.solvers import (
     left_out_diagonal,
     local_gram,
     make_solver,
+    rounds,
     run_rounds,
 )
 
@@ -568,28 +571,41 @@ def test_ipg_process_sequencing_oracle():
     np.testing.assert_allclose(xs, oracle, rtol=1e-12, atol=1e-14)
 
 
-class _SpyNoise:
-    """No noise; notes (stream, iteration, whether v is corrupted in place)."""
+class _AliasSpy:
+    """Corrupts through model, noting each call whose variable shares memory
+    with an array of a state yielded before it."""
 
-    def __init__(self):
-        self.calls = []
+    def __init__(self, model):
+        self.model = model
+        self.held = []
+        self.shared = []
 
-    def corrupt(self, v, stream, iteration, out=None):
-        self.calls.append((stream, iteration, out is v))
-        return v
+    def corrupt(self, v, stream, iteration):
+        if any(np.may_share_memory(v, a) for a in self.held):
+            self.shared.append((stream, iteration))
+        return self.model.corrupt(v, stream, iteration)
 
 
+def _arrays(state):
+    """The arrays a state holds in its fields."""
+    return [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("model", [RoundoffProcessNoise(decimals=4),
+                                   UniformProcessNoise(seed=3, low=-1e-4, high=2e-4)])
 @pytest.mark.parametrize("method", METHODS)
-def test_only_ipg_corrupts_in_place_and_only_its_refined_k(small_problem, method):
-    # K - alpha R is formed in the round's own aggregate; every other
-    # corrupted variable may be held elsewhere (bfgs hands back state.M)
-    spy = _SpyNoise()
+def test_no_corrupted_variable_is_held_by_an_earlier_state(small_problem, method, model):
+    # corrupt overwrites its variable, so no solver may hand it one that a
+    # yielded state still holds (bfgs copies state.M where it hands it back)
+    spy = _AliasSpy(model)
     params = resolve_params(RunConfig(dataset=small_problem.name, method=method),
                             small_problem.name, compute_spectrum(small_problem.A))
-    run_rounds(make_solver(method, params), make_shards(small_problem, 3),
-               small_problem.n_cols, 3, spy)
-    in_place = {(stream, t) for stream, t, inplace in spy.calls if inplace}
-    assert in_place == ({(STREAM_K, t) for t in (1, 2, 3)} if method == "ipg" else set())
+    steps = rounds(make_solver(method, params), make_shards(small_problem, 3),
+                   small_problem.n_cols, spy)
+    for _, state in islice(steps, 5):
+        spy.held += _arrays(state)
+    assert len(spy.held) >= 5
+    assert spy.shared == []
 
 
 def test_unknown_method_rejected():

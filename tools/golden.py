@@ -14,12 +14,15 @@ stencil:30,30 under round-off and under uniform (-1e-4, 2e-4) process
 noise, whose d x d K is also updated, corrupted and recorded by rows on
 every CPU; seed 0, 30 rounds, m=10). ``record``
 writes, for every run, the SHA-256 of ``trace_csv_text``, the text
-itself and the stop reason. ``check`` reruns the set and, for every
-trace whose hash differs, prints the largest absolute err gap, the
-largest relative gap in the bound columns, and whether the stop reason,
-round count and diverged flags match; then it reruns the set in a child
-pinned to one CPU (``--one-cpu``), where every round is sequential. It
-exits 0 when every hash matches in both, 1 otherwise.
+itself, the stop reason and, for a process-noise run, the repr of its
+``omega_realized_mean``, which the CSV does not hold. ``check`` reruns
+the set and, for every trace whose hash differs, prints the largest
+absolute err gap, the largest relative gap in the bound columns, and
+whether the stop reason, round count and diverged flags match; a
+realized mean whose repr differs is printed too. Then it reruns the set
+in a child pinned to one CPU (``--one-cpu``), where every round is
+sequential. It exits 0 when every hash and realized mean matches in
+both, 1 otherwise.
 
 dlsq is imported from ``--src`` (default: this checkout's ``src/``), so
 a file recorded from one checkout can be checked against another. BLAS
@@ -69,28 +72,37 @@ CONCURRENT = {
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
+def _run(config):
+    """(trace csv text, stop reason, repr of omega_realized_mean or None)."""
+    from dlsq.runner import run, trace_csv_text
+
+    trace = run(config)
+    realized = trace.summary["noise"].get("omega_realized_mean")
+    return (trace_csv_text(trace), trace.summary["stopped"],
+            None if realized is None else repr(realized))
+
+
 def golden_runs():
-    """Yield (key, trace csv text, stop reason) for every run of the set."""
-    from dlsq.runner import RunConfig, run, trace_csv_text
+    """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
+    or None) for every run of the set."""
+    from dlsq.runner import RunConfig
     from dlsq.solvers import METHODS
 
     for dataset in DATASETS:
         for method in METHODS:
             for noise, extra in NOISES.items():
                 for seed in SEEDS:
-                    trace = run(RunConfig(dataset=dataset, method=method, seed=seed, m=10,
-                                          max_iters=300, stop_tol=0.0, **extra))
-                    yield (f"{dataset}/{method}/{noise}/s{seed}", trace_csv_text(trace),
-                           trace.summary["stopped"])
+                    yield (f"{dataset}/{method}/{noise}/s{seed}",
+                           *_run(RunConfig(dataset=dataset, method=method, seed=seed, m=10,
+                                           max_iters=300, stop_tol=0.0, **extra)))
     for name, extra in DIVERGING.items():
         for seed in SEEDS:
-            trace = run(RunConfig(dataset=DATASETS[0], seed=seed, m=5, max_iters=300,
-                                  stop_tol=0.0, **extra))
-            yield (f"{DATASETS[0]}/m5/{name}/s{seed}", trace_csv_text(trace),
-                   trace.summary["stopped"])
+            yield (f"{DATASETS[0]}/m5/{name}/s{seed}",
+                   *_run(RunConfig(dataset=DATASETS[0], seed=seed, m=5, max_iters=300,
+                                   stop_tol=0.0, **extra)))
     for key, extra in CONCURRENT.items():
-        trace = run(RunConfig(method="ipg", seed=0, m=10, max_iters=30, stop_tol=0.0, **extra))
-        yield key, trace_csv_text(trace), trace.summary["stopped"]
+        yield key, *_run(RunConfig(method="ipg", seed=0, m=10, max_iters=30, stop_tol=0.0,
+                                   **extra))
 
 
 def _sha256(text):
@@ -98,8 +110,9 @@ def _sha256(text):
 
 
 def record():
-    return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped}
-            for key, text, stopped in golden_runs()}
+    return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
+                  "omega_realized_mean": realized}
+            for key, text, stopped, realized in golden_runs()}
 
 
 def _rows(text):
@@ -139,13 +152,18 @@ def compare(want, got_text, got_stopped):
 
 def check(recorded):
     differing = 0
-    for key, text, stopped in golden_runs():
+    for key, text, stopped, realized in golden_runs():
         want = recorded.get(key)
         if want is None:
             print(f"{key}: not in the recorded file")
             differing += 1
             continue
+        same_realized = realized == want.get("omega_realized_mean")
+        if not same_realized:
+            print(f"{key}: omega_realized_mean {realized} against "
+                  f"{want.get('omega_realized_mean')} recorded")
         if _sha256(text) == want["sha256"]:
+            differing += not same_realized
             continue
         differing += 1
         gaps = compare(want, text, stopped)
