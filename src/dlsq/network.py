@@ -17,6 +17,9 @@ The server's entrywise work on a large variable (ipg's K - alpha R, its
 round-off and the recorded |after - before|) is split the same way, by
 rows (in_row_blocks): every entry is computed by the same operations
 whichever thread computes it, so that split changes no bit either.
+
+One gate (_claim) decides which helpers a call may use, and one schedule
+(_concurrently) runs it, on the calling thread alone when it gets none.
 """
 from __future__ import annotations
 
@@ -29,14 +32,11 @@ import threading
 import numpy as np
 
 # A round goes concurrent when its mean agent's estimated work, 2 n_i
-# flops per float broadcast, reaches this. One hand-off (queue an agent,
-# wake its helper, take the reply back) costs ~12 us on a 2-CPU x86 VM,
-# about 1.1 MFLOP at its ~90 GFLOP/s single-thread DGEMM rate; ipg on
-# 608 x d problems (m=10) broke even between 0.8 and 1.2 MFLOP and ran
-# 1.45x as fast at 2.1. The threshold is about twice the hand-off, so a
-# somewhat slower hand-off does not make a round slower. An ipg agent on
-# 608x188 with m=10 estimates 4.3 MFLOP, on stencil:30,30 146 MFLOP; a
-# gd agent on 608x188 23 kFLOP.
+# flops per float broadcast, reaches this: about twice one hand-off (queue
+# an agent, wake its helper, take the reply back) where it was measured,
+# ~12 us on a 2-CPU x86 VM, 1.1 MFLOP at its DGEMM rate. Hand-offs differ
+# by host (README, "Concurrent agents"). An ipg agent on 608x188 with
+# m=10 estimates 4.3 MFLOP, on stencil:30,30 146 MFLOP; a gd agent 23 kFLOP.
 CONCURRENT_FLOPS = 2e6
 
 # Flops per entry of the server's entrywise chain on one variable: K -
@@ -45,14 +45,6 @@ CONCURRENT_FLOPS = 2e6
 # reach CONCURRENT_FLOPS: stencil:30,30's 900 x 900 K (8.1 MFLOP) goes
 # concurrent, a 188 x 188 K (0.35 MFLOP) and every iterate do not.
 ENTRY_FLOPS = 10
-
-
-def _attempt(ctx, fn, arg):
-    """(fn(arg) run in the context ctx, None), or (None, the exception it raised)."""
-    try:
-        return ctx.run(fn, arg), None
-    except BaseException as exc:  # noqa: BLE001 - re-raised by the round
-        return None, exc
 
 
 class _Helper:
@@ -69,7 +61,15 @@ class _Helper:
         while True:
             # the job dies within this statement, so the helper holds nothing
             # of a round (its shards, its broadcast) once the reply is out
-            self._done.put(_attempt(*self._jobs.get()))
+            self._done.put(self._attempt(*self._jobs.get()))
+
+    @staticmethod
+    def _attempt(ctx, fn, arg):
+        """(fn(arg) run in the context ctx, None), or (None, the exception it raised)."""
+        try:
+            return ctx.run(fn, arg), None
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the round
+            return None, exc
 
     def submit(self, fn, arg):
         # a thread does not inherit the caller's context, numpy's errstate
@@ -88,7 +88,7 @@ _pool = (None, None, [])  # (pid, lock, helpers) of the process that built it
 
 
 def _helpers():
-    """This process's helpers and the lock a round holds while it uses them,
+    """This process's helpers and the lock a call holds while it uses them,
     started on first use: one helper fewer than the CPUs the process may
     run on, so one CPU means none. A forked child builds its own."""
     global _pool
@@ -98,54 +98,59 @@ def _helpers():
     return _pool[1:]
 
 
-def _concurrently(order, compute, consume, helpers):
+def _claim(n, flops):
+    """(lock, helpers): the helpers a call of n independent parts may use,
+    at most n - 1, their lock taken; (None, []) when its estimated flops
+    fall short of CONCURRENT_FLOPS, the process has no helpers, or another
+    call holds them (another thread's round, or this agent's own round)."""
+    if n > 1 and flops >= CONCURRENT_FLOPS:
+        lock, helpers = _helpers()
+        if helpers and lock.acquire(blocking=False):
+            return lock, helpers[: n - 1]
+    return None, []
+
+
+def _concurrently(order, compute, consume, lock, helpers):
     """consume(i, compute(i)) for every i in order, in that order, with the
-    compute calls spread over this thread and the helpers: position p goes
-    to this thread when p mod (h + 1) is 0, else to helper p mod (h + 1) - 1.
-    This thread consumes its own reply at once, so besides the aggregate
-    at most one reply per helper is held."""
+    compute calls spread over this thread and the h helpers _claim gave
+    with lock, released at the end: position p goes to this thread when p
+    mod (h + 1) is 0, else to helper p mod (h + 1) - 1. This thread consumes
+    its own reply at once, so at most one reply per helper is held."""
     w = len(helpers) + 1
     n = len(order)
-    for k, helper in enumerate(helpers, 1):  # fewer helpers than agents
-        helper.submit(compute, order[k])
     try:
-        for start in range(0, n, w):
-            consume(order[start], compute(order[start]))
-            for k, helper in enumerate(helpers[: n - start - 1], start + 1):
-                reply, exc = helper.take()
-                if exc is not None:
-                    raise exc
-                if k + w < n:
-                    helper.submit(compute, order[k + w])
-                consume(order[k], reply)
+        for k, helper in enumerate(helpers, 1):  # fewer helpers than agents
+            helper.submit(compute, order[k])
+        for p, i in enumerate(order):
+            if p % w == 0:
+                consume(i, compute(i))
+                continue
+            helper = helpers[p % w - 1]
+            reply, exc = helper.take()
+            if exc is not None:
+                raise exc
+            if p + w < n:
+                helper.submit(compute, order[p + w])
+            consume(i, reply)
     finally:
         for helper in helpers:
             if helper.pending:
                 helper.take()
+        if lock is not None:
+            lock.release()
 
 
 def in_row_blocks(fn, shape):
-    """fn(lo, hi) over contiguous blocks of range(shape[0]) that cover it.
-
-    The blocks, one per CPU, run on this thread and the helpers when the
-    entries of shape times ENTRY_FLOPS reach CONCURRENT_FLOPS and no round
-    holds the helpers; otherwise (a helper's own call included) fn(0,
-    shape[0]) runs alone. fn must touch only rows lo:hi of what it writes.
-    """
+    """fn(lo, hi) over contiguous blocks of range(shape[0]) that cover it:
+    one block per helper _claim grants when the entries of shape times
+    ENTRY_FLOPS reach CONCURRENT_FLOPS, plus this thread's; otherwise (a
+    helper's own call included) fn(0, shape[0]) alone. fn must touch only
+    rows lo:hi of what it writes."""
     n = shape[0]
-    concurrent = n > 1 and ENTRY_FLOPS * math.prod(shape) >= CONCURRENT_FLOPS
-    lock, helpers = _helpers() if concurrent else (None, [])
-    if helpers and lock.acquire(blocking=False):
-        try:
-            helpers = helpers[: n - 1]
-            w = len(helpers) + 1
-            bounds = [n * k // w for k in range(w + 1)]
-            _concurrently(range(w), lambda k: fn(bounds[k], bounds[k + 1]),
-                          lambda k, _: None, helpers)
-        finally:
-            lock.release()
-    else:
-        fn(0, n)
+    lock, helpers = _claim(n, ENTRY_FLOPS * math.prod(shape))
+    w = len(helpers) + 1
+    _concurrently(range(w), lambda k: fn(n * k // w, n * (k + 1) // w), lambda k, _: None,
+                  lock, helpers)
 
 
 def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
@@ -202,18 +207,9 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
             else:
                 acc += part
 
+    # the mean agent's estimated work: 2 n_i flops per float broadcast
     m = len(shards)
-    concurrent = m > 1 and (2.0 * sum(sh.A.shape[0] for sh in shards) / m
-                            * sum(map(np.size, broadcast)) >= CONCURRENT_FLOPS)
-    lock, helpers = _helpers() if concurrent else (None, [])
-    # a round already using the helpers (another thread's) leaves this one sequential
-    if helpers and lock.acquire(blocking=False):
-        try:
-            _concurrently(order, compute, consume, helpers[: m - 1])
-        finally:
-            lock.release()
-    else:
-        for i in order:
-            consume(i, compute(i))
+    flops = 2.0 * sum(sh.A.shape[0] for sh in shards) / m * sum(map(np.size, broadcast))
+    _concurrently(order, compute, consume, *_claim(m, flops))
 
     return server_fn(tuple(aggregate)), new_states

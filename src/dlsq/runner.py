@@ -582,17 +582,30 @@ GRID_COLUMNS = ("label", "dataset", "method", "noise", "seed", "reps",
                 "iterations", "stopped", "diverged_at", "error")
 
 
+def _cell_label(cfg):
+    """A grid cell's label before it runs: its own, else
+    <dataset>-<method>-<noise>-s<seed> with the dataset as configured."""
+    return cfg.label or f"{cfg.dataset}-{cfg.method}-{cfg.noise}-s{cfg.seed}"
+
+
 def run_grid(configs, out_dir=None, emit_traces=True):
     """Run every config, isolating per-cell failures. Returns (results,
     summary_rows), one of each per config, the result None for a cell that
     failed (its run or writing its trace); optionally writes traces and a
-    grid summary CSV."""
+    grid summary CSV. Raises ValueError, before any cell runs, when two
+    cells would write the same trace files."""
+    if out_dir is not None and emit_traces:
+        seen = {}
+        for j, label in enumerate(map(_cell_label, configs)):
+            if seen.setdefault(label, j) != j:
+                raise ValueError(f"runs[{seen[label]}] and runs[{j}] would write the same "
+                                 f"trace files ({label!r}); give them distinct labels")
     results = []
     summary_rows = []
     cache = {}
     for cfg in configs:
         row = {c: "" for c in GRID_COLUMNS}
-        row.update(label=cfg.label or cfg.dataset, dataset=cfg.dataset,
+        row.update(label=_cell_label(cfg), dataset=cfg.dataset,
                    method=cfg.method, noise=cfg.noise, seed=cfg.seed, reps=cfg.reps)
         try:
             key = (cfg.dataset, cfg.data_dir)

@@ -71,6 +71,11 @@ def agent_r_matrix(shard, K, m, gram=None):
     return R
 
 
+def gradient_agent(bc, shard, ast):
+    """The gd/nag/hbm and bfgs agent: its gradient at the broadcast point."""
+    return (agent_gradient(shard, bc[0]),), ast
+
+
 def local_gram(shard):
     """(A_i^T A_i)[cols, cols] where multiplying K by it is cheaper, else None.
 
@@ -119,23 +124,20 @@ class IPGState:
 class IPGSolver:
     """Preconditioned gradient descent with the iteratively refined K.
 
-    freeze_k pins K to its initial value and skips the refinement round;
-    with K = I and delta = alpha this reproduces gd exactly, which the
-    tests rely on.
+    alpha = 0 keeps K at K0 bit for bit (K - 0 R = K); with K0 = I and
+    delta equal to gd's step this reproduces gd exactly, which the tests rely on.
     """
 
-    def __init__(self, alpha, delta, freeze_k=False, K0=None):
+    def __init__(self, alpha, delta, K0=None):
         self.alpha = float(alpha)
         self.delta = float(delta)
-        self.freeze_k = bool(freeze_k)
         self.K0 = K0
 
     def init_state(self, shards, d, pnoise):
         x = np.zeros(d)
         K = np.zeros((d, d)) if self.K0 is None else np.array(self.K0, dtype=np.float64)
         x = pnoise.corrupt(x, STREAM_X, 0)
-        if not self.freeze_k:
-            K = pnoise.corrupt(K, STREAM_K, 0)
+        K = pnoise.corrupt(K, STREAM_K, 0)
         # the spans are fixed for the run, so the server's diagonal is too
         self._left_out = left_out_diagonal(shards, d)
         return IPGState(x=x, K=K)
@@ -148,34 +150,27 @@ class IPGSolver:
     def step(self, state, shards, agent_states, pnoise, t):
         m = len(shards)
         d = state.x.shape[0]
-        alpha, delta, freeze = self.alpha, self.delta, self.freeze_k
+        alpha, delta = self.alpha, self.delta
 
         def agent(bc, shard, gram):
             x, K = bc
-            g = agent_gradient(shard, x)
-            if freeze:
-                return (g,), gram
-            return (g, agent_r_matrix(shard, K, m, gram)), gram
+            return (agent_gradient(shard, x), agent_r_matrix(shard, K, m, gram)), gram
 
         def server(agg):
-            if freeze:
-                (G,) = agg
-                K_next = state.K
-            else:
-                G, R_sum = agg
-                # subtracting 0.0 on full spans leaves every bit unchanged
-                R_sum.ravel()[:: d + 1] -= self._left_out
+            G, R_sum = agg
+            # subtracting 0.0 on full spans leaves every bit unchanged
+            R_sum.ravel()[:: d + 1] -= self._left_out
 
-                # K - alpha R_sum in the aggregate's own fresh buffer, which
-                # the round owns and corrupts: negation is exact, so
-                # K + (-(alpha R_sum)) has the same bits
-                def refine(lo, hi):
-                    R = R_sum[lo:hi]
-                    R *= -alpha
-                    R += state.K[lo:hi]
+            # K - alpha R_sum in the aggregate's own fresh buffer, which the
+            # round owns and corrupts: negation is exact, so
+            # K + (-(alpha R_sum)) has the same bits
+            def refine(lo, hi):
+                R = R_sum[lo:hi]
+                R *= -alpha
+                R += state.K[lo:hi]
 
-                in_row_blocks(refine, R_sum.shape)
-                K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
+            in_row_blocks(refine, R_sum.shape)
+            K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
             x_next = state.x - delta * (K_next @ G)
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return IPGState(x=x_next, K=K_next)
@@ -224,15 +219,12 @@ class MomentumSolver:
         disp = state.x - state.x_prev
         y = state.x + self.beta_n * disp
 
-        def agent(bc, shard, ast):
-            return (agent_gradient(shard, bc[0]),), ast
-
         def server(agg):
             x_next = y - self.alpha * agg[0] + (self.beta - self.beta_n) * disp
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return MomentumState(x=x_next, x_prev=state.x)
 
-        return execute_round((y,), shards, agent, server, agent_states)
+        return execute_round((y,), shards, gradient_agent, server, agent_states)
 
     def iterate(self, state):
         return state.x
@@ -267,9 +259,6 @@ class BFGSSolver:
         return None
 
     def step(self, state, shards, agent_states, pnoise, t):
-        def agent(bc, shard, ast):
-            return (agent_gradient(shard, bc[0]),), ast
-
         def server(agg):
             G = agg[0]
             M = None
@@ -288,7 +277,7 @@ class BFGSSolver:
             x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
             return BFGSState(x=x_next, M=M, x_prev=state.x, g_prev=G, skipped=skipped)
 
-        return execute_round((state.x,), shards, agent, server, agent_states)
+        return execute_round((state.x,), shards, gradient_agent, server, agent_states)
 
     def iterate(self, state):
         return state.x

@@ -83,6 +83,30 @@ def test_grid_with_a_path_label_exits_2_before_any_cell_runs(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["grid.json"]
 
 
+def test_grid_whose_cells_share_trace_files_exits_2_before_any_cell_runs(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "defaults": {"dataset": SPEC, "method": "gd", "m": 5, "max_iters": 50},
+        "runs": [{"alpha": 0.1}, {"alpha": 0.2, "label": "a"}, {"alpha": 0.3}],
+    }))
+    rc = main(["grid", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "runs[0] and runs[2] would write the same trace files" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_grid_names_each_failed_cell(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "defaults": {"dataset": "nosuch.mtx", "m": 5},
+        "runs": [{"method": "gd"}, {"method": "ipg"}],
+    }))
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "nosuch.mtx-gd-none-s0: ERROR FileNotFoundError" in out
+    assert "nosuch.mtx-ipg-none-s0: ERROR FileNotFoundError" in out
+
+
 def test_run_flag_defaults_are_run_config_defaults():
     args = build_parser().parse_args(["run", "--dataset", "X", "--method", "gd"])
     assert _config_from_args(args) == RunConfig("X", "gd")

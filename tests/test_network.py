@@ -297,16 +297,6 @@ def test_forked_child_completes_a_concurrent_run():
     assert reader.recv() == (True, want)
 
 
-def test_rounds_below_the_threshold_start_no_thread(monkeypatch):
-    monkeypatch.setattr(network, "_pool", (None, None, []))
-    before = threading.active_count()
-    # a gd agent on 608x188 estimates 23 kFLOP, an ipg agent on 60x10 1.3 kFLOP
-    run(RunConfig("synth:608,188,10,3", "gd", m=10, max_iters=20, stop_tol=0.0))
-    run(RunConfig("synth:60,10,4,3", "ipg", m=10, max_iters=20, stop_tol=0.0))
-    assert threading.active_count() == before
-    assert network._pool[0] is None
-
-
 def test_idle_helpers_keep_no_round_alive(use_helpers, monkeypatch):
     monkeypatch.setattr(network, "CONCURRENT_FLOPS", 0.0)
     shards = make_shards(synthesize_problem(40, 3, cond=2.0, seed=0), 4)
@@ -350,16 +340,11 @@ def _blocks(shape):
 
 
 def test_row_blocks_cover_every_row_once(use_helpers):
-    # 450 x 500 entries clear CONCURRENT_FLOPS at ENTRY_FLOPS each, 188 x 188 do not
-    assert network.ENTRY_FLOPS * 450 * 500 >= network.CONCURRENT_FLOPS
-    assert network.ENTRY_FLOPS * 188 * 188 < network.CONCURRENT_FLOPS
     split = _blocks((450, 500))
     assert len(split) > 1 and split[0][0] == 0 and split[-1][1] == 450
     assert all(a[1] == b[0] for a, b in zip(split, split[1:]))
     assert split[0][2] is threading.main_thread()
     assert len({b[2] for b in split}) == len(split)
-    for shape in ((188, 188), (1, 300_000), (900,)):
-        assert [b[:2] for b in _blocks(shape)] == [(0, shape[0])]
     use_helpers(False)
     assert [b[:2] for b in _blocks((450, 500))] == [(0, 450)]
 
@@ -414,30 +399,116 @@ def test_row_split_server_equals_sequential_server_bit_for_bit(use_helpers, monk
         assert np.array_equal(x1, x2) and np.array_equal(K1, K2)
 
 
-def test_large_corrupt_from_an_agent_on_a_helper_runs_alone(use_helpers, monkeypatch):
-    # every round and every row-block call clears the threshold; an agent on
-    # a helper finds the helpers taken by its round and rounds by itself
-    K = np.linspace(-1.0, 1.0, 64 * 64).reshape(64, 64)
-    want = sum(roundoff(K * (i + 1), 2) for i in range(4))
-    monkeypatch.setattr(network, "CONCURRENT_FLOPS", 0.0)
-    noted = _noted_row_blocks(monkeypatch)
-    shards = make_shards(synthesize_problem(40, 3, cond=2.0, seed=0), 4)
+# -- which calls go concurrent --------------------------------------------------
+
+MC, STENCIL = "synth:608,188,10,3", "stencil:30,30"
+
+
+def _round(monkeypatch, name, method):
+    """One round of method on name at m=10: the (asker, thread) of each
+    agent's gradient, the asker being the thread that ran the round."""
+    ds = _problem(name)
+    solver = (IPGSolver(ABOVE_THRESHOLD.get(name, 0.1), 1.0) if method == "ipg"
+              else make_solver(method, {"alpha": 1e-3}))
+    asker, noted = threading.current_thread(), []
+    real = solvers.agent_gradient
+
+    def noting(shard, x):
+        noted.append((asker, threading.current_thread()))
+        return real(shard, x)
+
+    monkeypatch.setattr(solvers, "agent_gradient", noting)
+    run_rounds(solver, make_shards(ds, 10), ds.n_cols, 1)
+    return noted
+
+
+def _row_blocks(shape):
+    asker = threading.current_thread()
+    return [(asker, thread) for _, _, thread in _blocks(shape)]
+
+
+def _mc_shaped_round(agent):
+    """A round whose agents (fake, replying zeros) estimate an mc ipg agent's
+    4.3 MFLOP, so it claims the helpers."""
+    def replying(bc, shard, ast):
+        agent()
+        return (np.zeros(1),), ast
+
+    execute_round((np.zeros(188 * 189),), make_shards(_problem(MC), 10), replying,
+                  lambda agg: None)
+
+
+def _while_another_round_holds_the_helpers(call):
+    started, release = threading.Event(), threading.Event()
+    other = threading.Thread(target=_mc_shaped_round,
+                             args=(lambda: started.set() or release.wait(60),), daemon=True)
+    other.start()
+    try:
+        assert started.wait(60)
+        return call()
+    finally:
+        release.set()
+        other.join(60)
+
+
+def _corrupt_from_the_agents_of_a_round(monkeypatch):
+    """Each agent of a concurrent round rounds its own 450 x 500 variable,
+    which alone would be split by rows: the (asker, thread) of each block."""
+    K = np.linspace(-1.0, 1.0, 450 * 500).reshape(450, 500)
+    want = sum(roundoff(K * (i + 1), 2) for i in range(10))
     model = RoundoffProcessNoise(decimals=2)
+    noted = _noted_row_blocks(monkeypatch)
 
     def agent(bc, shard, ast):
-        mine = bc[0] * (shard.agent_id + 1)
-        return (model.corrupt(mine, STREAM_K, 0),), ast
+        return (model.corrupt(bc[0] * (shard.agent_id + 1), STREAM_K, 0),), ast
 
+    aggregate, _ = execute_round((K,), make_shards(_problem(MC), 10), agent, lambda agg: agg[0])
+    assert np.array_equal(aggregate, want)
+    assert any(asker is not threading.current_thread() for asker, *_ in noted)
+    return [(asker, thread) for asker, thread, _, _ in noted]
+
+
+# row: (call, decision). "concurrent": the work ran on helpers besides the
+# asking thread. "alone": it ran on the asking thread because the helpers
+# were taken. "below": it ran on the asking thread and never asked for
+# helpers, so it started no thread.
+DECISIONS = {
+    "ipg round on 608x188, m=10 (4.3 MFLOP)": (lambda mp: _round(mp, MC, "ipg"), "concurrent"),
+    "ipg round on stencil:30,30, m=10 (146 MFLOP)": (lambda mp: _round(mp, STENCIL, "ipg"),
+                                                     "concurrent"),
+    "gd round on 608x188, m=10 (23 kFLOP)": (lambda mp: _round(mp, MC, "gd"), "below"),
+    "ipg round on 60x10, m=10 (1.3 kFLOP)": (lambda mp: _round(mp, "synth:60,10,4,3", "ipg"),
+                                             "below"),
+    "stencil's 900x900 K by rows (8.1 MFLOP)": (lambda mp: _row_blocks((900, 900)),
+                                                "concurrent"),
+    "188x188 K by rows (0.35 MFLOP)": (lambda mp: _row_blocks((188, 188)), "below"),
+    "a single row of 300k entries": (lambda mp: _row_blocks((1, 300_000)), "below"),
+    "an iterate of 900": (lambda mp: _row_blocks((900,)), "below"),
+    "900x900 K while another thread's round holds the helpers": (
+        lambda mp: _while_another_round_holds_the_helpers(lambda: _row_blocks((900, 900))),
+        "alone"),
+    "ipg round on stencil:30,30 while another thread's round holds the helpers": (
+        lambda mp: _while_another_round_holds_the_helpers(lambda: _round(mp, STENCIL, "ipg")),
+        "alone"),
+    "a 450x500 corrupt from the agents of a concurrent round": (
+        _corrupt_from_the_agents_of_a_round, "alone"),
+}
+
+
+@pytest.mark.parametrize("row", list(DECISIONS))
+def test_which_calls_go_concurrent(use_helpers, monkeypatch, row):
+    call, decision = DECISIONS[row]
+    helpers, asked = network._helpers, []
+    monkeypatch.setattr(network, "_helpers", lambda: asked.append(True) or helpers())
     got = []
-    caller = threading.Thread(target=lambda: got.append(
-        execute_round((K,), shards, agent, lambda agg: agg[0])), daemon=True)
+    # on a thread of its own, so a call that waits for its own helpers fails
+    caller = threading.Thread(target=lambda: got.append(call(monkeypatch)), daemon=True)
     caller.start()
     caller.join(timeout=60)
-    assert not caller.is_alive(), "a corrupt on a helper did not finish in 60 s"
-    (aggregate, _), = got
-    assert np.array_equal(aggregate, want)
-    # each agent's rounding ran as one block on the thread that asked for it
-    assert len(noted) == 4
-    assert all(ran_on is asker and (lo, hi) == (0, 64) for asker, ran_on, lo, hi in noted)
-    askers = {asker for asker, *_ in noted}
-    assert caller in askers and len(askers) > 1
+    assert not caller.is_alive(), "the call did not finish in 60 s"
+    (noted,) = got
+    assert noted and all(asker is not threading.main_thread() for asker, _ in noted)
+    spread = any(asker is not thread for asker, thread in noted)
+    assert spread == (decision == "concurrent")
+    if decision == "below":
+        assert not asked

@@ -1,5 +1,6 @@
 """Run orchestration: parameter defaults, stop rule, traces, grids."""
 import json
+import re
 import threading
 import warnings
 from dataclasses import asdict, replace
@@ -501,6 +502,33 @@ def test_grid_keeps_one_result_per_cell_when_a_trace_write_fails(tmp_path, monke
     assert [r is None for r in results] == [False, True, False]
     assert [row["error"] for row in rows] == ["", "OSError: disk full", ""]
     assert results[2].first_trace.config.label == "c"
+
+
+def test_grid_rejects_cells_that_would_write_the_same_traces(tmp_path):
+    # an alpha sweep with no labels names every trace synth-...-gd-none-s0
+    sweep = [cfg(method="gd", alpha=a, max_iters=20) for a in (0.1, 0.2, 0.3)]
+    labelled = [replace(c, label=f"gd-{c.alpha}") for c in sweep]
+    relabelled = labelled + [replace(sweep[0], label="gd-0.2")]
+    for configs, clash in ((sweep, "runs[0] and runs[1]"), (relabelled, "runs[1] and runs[3]")):
+        with pytest.raises(ValueError, match=re.escape(clash) + " would write the same trace"):
+            run_grid(configs, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()  # before any cell runs
+    # distinct labels, or no trace files, are fine
+    assert len(run_grid(labelled, out_dir=tmp_path / "out")[0]) == 3
+    assert len(list((tmp_path / "out").glob("gd-*.json"))) == 3
+    assert all(run_grid(sweep)[0])
+    assert all(run_grid(sweep, out_dir=tmp_path / "summary", emit_traces=False)[0])
+
+
+def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):
+    configs = [cfg(dataset="nosuch.mtx", method="gd"), cfg(dataset="nosuch.mtx", seed=2),
+               cfg(dataset="nosuch.mtx", label="mine")]
+    results, rows = run_grid(configs, out_dir=tmp_path)
+    assert results == [None] * 3
+    assert [row["label"] for row in rows] == ["nosuch.mtx-gd-none-s0", "nosuch.mtx-ipg-none-s2",
+                                              "mine"]
+    summary = (tmp_path / "grid_summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == [row["label"] for row in rows]
 
 
 def test_empty_grid_is_fine(tmp_path):

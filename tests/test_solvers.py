@@ -332,7 +332,7 @@ def test_gd_equals_frozen_identity_preconditioner(small_problem):
     ds = small_problem
     alpha = 0.25
     xs_gd = trajectory(("gd", {"alpha": alpha}), ds, m=5, n_rounds=60)
-    solver = IPGSolver(alpha=alpha, delta=alpha, freeze_k=True, K0=np.eye(ds.n_cols))
+    solver = IPGSolver(alpha=0.0, delta=alpha, K0=np.eye(ds.n_cols))
     shards = make_shards(ds, 5)
     xs_ipg = []
     run_rounds(solver, shards, ds.n_cols, 60,
