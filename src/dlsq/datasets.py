@@ -2,7 +2,7 @@
 
 Covers Matrix Market parsing, synthetic regression problems, contiguous
 row sharding across agents, and the spectral quantities every run needs
-(extreme eigenvalues of A^T A and its inverse).
+(the eigenvalues of A^T A; its inverse only when a caller reads it).
 
 Named datasets are read from a local directory; they are never fetched
 over the network. Directory resolution order: explicit argument, the
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,13 @@ class Shard:
     # empty for an all-zero shard. A stays full width; agents use the span
     # to compute and send only the rows their shard can touch.
     cols: slice
-    # contiguous transpose copy for the agent products; multiplying by the
-    # strided A.T view instead rounds differently and changes traces
-    AT: np.ndarray = field(repr=False, default=None)
+    # rows cols of A^T, a contiguous copy made from A and cols (so also by
+    # dataclasses.replace) for the agents' second products; multiplying by
+    # the strided A.T view instead rounds differently and changes traces
+    AT: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "AT", np.ascontiguousarray(self.A[:, self.cols].T))
 
     @property
     def n_rows(self):
@@ -76,11 +81,20 @@ class Shard:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Extreme eigenvalues of A^T A plus its exact inverse K_star."""
+    """The eigenvalues of A^T A, ascending. Its inverse K_star is solved
+    from A when it is first read; a run reads only its norms, which the
+    eigenvalues give."""
 
-    lambda_1: float
-    lambda_d: float
-    K_star: np.ndarray
+    eigenvalues: np.ndarray
+    A: np.ndarray = field(repr=False)
+
+    @property
+    def lambda_1(self):
+        return float(self.eigenvalues[-1])
+
+    @property
+    def lambda_d(self):
+        return float(self.eigenvalues[0])
 
     @property
     def cond(self):
@@ -97,7 +111,13 @@ class Spectrum:
 
     @property
     def k_star_fro(self):
-        return float(np.linalg.norm(self.K_star, "fro"))
+        # K_star's eigenvalues are 1 / lambda_i
+        return float(np.linalg.norm(1.0 / self.eigenvalues))
+
+    @cached_property
+    def K_star(self):
+        H = self.A.T @ self.A
+        return np.linalg.solve(H, np.eye(H.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -266,8 +286,12 @@ def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0):
     A = (U * np.sqrt(lam)) @ V.T
     A = np.ascontiguousarray(A)
     x_star = np.ones(n_cols)
-    return Dataset(name=f"synth-{n_rows}x{n_cols}-c{cond:g}-s{seed}",
+    return Dataset(name=_synth_name(n_rows, n_cols, cond, seed),
                    A=A, x_star=x_star, b=A @ x_star)
+
+
+def _synth_name(n_rows, n_cols, cond, seed):
+    return f"synth-{n_rows}x{n_cols}-c{cond:g}-s{seed}"
 
 
 def stencil_problem(nx, ny):
@@ -286,7 +310,11 @@ def stencil_problem(nx, ny):
             dst = idx[max(0, di):nx + min(0, di), max(0, dj):ny + min(0, dj)]
             A[src.ravel(), dst.ravel()] = 8.0 if di == dj == 0 else -1.0
     x_star = np.ones(d)
-    return Dataset(name=f"stencil-{nx}x{ny}", A=A, x_star=x_star, b=A @ x_star)
+    return Dataset(name=_stencil_name(nx, ny), A=A, x_star=x_star, b=A @ x_star)
+
+
+def _stencil_name(nx, ny):
+    return f"stencil-{nx}x{ny}"
 
 
 def dataset_path(name, data_dir=None):
@@ -295,22 +323,40 @@ def dataset_path(name, data_dir=None):
     return Path(data_dir) / f"{name}.mtx"
 
 
-def load_dataset(name_or_path, data_dir=None):
-    """Load a problem by registry name, .mtx path, synth:<rows>,<cols>,<cond>[,<seed>]
-    or stencil:<nx>,<ny> spec."""
+def _stencil_args(s):
+    parts = s[len("stencil:"):].split(",")
+    if len(parts) != 2:
+        raise ValueError("stencil spec is stencil:<nx>,<ny>")
+    return int(parts[0]), int(parts[1])
+
+
+def _synth_args(s):
+    parts = s[len("synth:"):].split(",")
+    if len(parts) not in (3, 4):
+        raise ValueError("synthetic spec is synth:<rows>,<cols>,<cond>[,<seed>]")
+    seed = int(parts[3]) if len(parts) == 4 else 0
+    return int(parts[0]), int(parts[1]), float(parts[2]), seed
+
+
+def dataset_name(name_or_path):
+    """The name load_dataset gives the problem, from the spec alone: nothing
+    is built or read. Raises ValueError for a malformed stencil or synth spec."""
     s = str(name_or_path)
     if s.startswith("stencil:"):
-        parts = s[len("stencil:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError("stencil spec is stencil:<nx>,<ny>")
-        return stencil_problem(int(parts[0]), int(parts[1]))
+        return _stencil_name(*_stencil_args(s))
     if s.startswith("synth:"):
-        parts = s[len("synth:"):].split(",")
-        if len(parts) not in (3, 4):
-            raise ValueError("synthetic spec is synth:<rows>,<cols>,<cond>[,<seed>]")
-        rows, cols = int(parts[0]), int(parts[1])
-        cond = float(parts[2])
-        seed = int(parts[3]) if len(parts) == 4 else 0
+        return _synth_name(*_synth_args(s))
+    return s if s in REGISTRY else Path(s).stem
+
+
+def load_dataset(name_or_path, data_dir=None):
+    """Load a problem by registry name, .mtx path, synth:<rows>,<cols>,<cond>[,<seed>]
+    or stencil:<nx>,<ny> spec; it is named by dataset_name."""
+    s = str(name_or_path)
+    if s.startswith("stencil:"):
+        return stencil_problem(*_stencil_args(s))
+    if s.startswith("synth:"):
+        rows, cols, cond, seed = _synth_args(s)
         return synthesize_problem(rows, cols, cond=cond, seed=seed)
 
     if s in REGISTRY:
@@ -324,17 +370,15 @@ def load_dataset(name_or_path, data_dir=None):
         A = parse_matrix_market(path)
         if A.shape != info.shape:
             raise ValueError(f"{s}: expected shape {info.shape}, file has {A.shape}")
-        name = s
     else:
         path = Path(s)
         if not path.exists():
             raise FileNotFoundError(f"no such dataset or file: {s}")
         A = parse_matrix_market(path)
-        name = path.stem
 
     A = np.ascontiguousarray(A, dtype=np.float64)
     x_star = np.ones(A.shape[1])
-    return Dataset(name=name, A=A, x_star=x_star, b=A @ x_star)
+    return Dataset(name=dataset_name(s), A=A, x_star=x_star, b=A @ x_star)
 
 
 def partition_rows(n_rows, m):
@@ -370,7 +414,6 @@ def make_shards(dataset, m):
                 A=A_i,
                 b=np.ascontiguousarray(dataset.b[start:stop]),
                 cols=_column_span(A_i),
-                AT=np.ascontiguousarray(A_i.T),
             )
         )
     return shards
@@ -387,7 +430,7 @@ def reassemble(shards, n_rows, n_cols):
 
 
 def compute_spectrum(A):
-    """Extreme eigenvalues of A^T A and its inverse.
+    """The eigenvalues of A^T A, without eigenvectors or an inverse.
 
     Raises RankDeficiencyError when A has no columns or A^T A is singular
     (lambda_d <= RANK_RTOL * lambda_1): A does not determine the parameters.
@@ -396,8 +439,7 @@ def compute_spectrum(A):
     H = A.T @ A
     if H.size == 0:
         raise RankDeficiencyError(f"A has no columns (shape {A.shape}): nothing to solve for")
-    # eigh, not eigvalsh: its eigenvalues set the default steps bit for bit
-    eigenvalues, _ = np.linalg.eigh(H)
+    eigenvalues = np.linalg.eigvalsh(H)
     lambda_d = float(eigenvalues[0])
     lambda_1 = float(eigenvalues[-1])
     if not (lambda_d > RANK_RTOL * lambda_1 and lambda_d > 0.0):
@@ -405,5 +447,4 @@ def compute_spectrum(A):
             f"A^T A numerically singular: lambda_d={lambda_d:.3e}, "
             f"lambda_1={lambda_1:.3e}"
         )
-    K_star = np.linalg.solve(H, np.eye(H.shape[0]))
-    return Spectrum(lambda_1=lambda_1, lambda_d=lambda_d, K_star=K_star)
+    return Spectrum(eigenvalues=eigenvalues, A=A)

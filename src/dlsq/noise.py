@@ -82,7 +82,7 @@ def apply_observation_noise(shards, seed, model):
     realized = []
     for sh in shards:
         w = model.draw(seed, sh.agent_id, sh.n_rows)
-        # the transpose cache AT does not depend on b and is kept
+        # replace derives the shard's AT from A and cols again
         noisy.append(replace(sh, b=np.ascontiguousarray(sh.b + w)))
         realized.append(float(np.abs(w).sum()))
     return noisy, realized

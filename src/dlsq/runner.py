@@ -26,7 +26,7 @@ from .analysis import (
     estimation_error,
     observation_step_bound,
 )
-from .datasets import REGISTRY, compute_spectrum, load_dataset, make_shards
+from .datasets import REGISTRY, compute_spectrum, dataset_name, load_dataset, make_shards
 from .noise import (
     NoProcessNoise,
     ObservationNoise,
@@ -582,10 +582,21 @@ GRID_COLUMNS = ("label", "dataset", "method", "noise", "seed", "reps",
                 "iterations", "stopped", "diverged_at", "error")
 
 
-def _cell_label(cfg):
+def _cell_label(cfg, dataset=None):
     """A grid cell's label before it runs: its own, else
-    <dataset>-<method>-<noise>-s<seed> with the dataset as configured."""
-    return cfg.label or f"{cfg.dataset}-{cfg.method}-{cfg.noise}-s{cfg.seed}"
+    <dataset>-<method>-<noise>-s<seed> with the dataset as configured
+    unless another name is given."""
+    return cfg.label or f"{dataset or cfg.dataset}-{cfg.method}-{cfg.noise}-s{cfg.seed}"
+
+
+def _trace_basename(cfg):
+    """The name a cell's trace files would take (trace_label of its run),
+    from its config alone; None when its dataset spec is malformed, so
+    that the cell fails and writes none."""
+    try:
+        return _cell_label(cfg, dataset_name(cfg.dataset))
+    except ValueError:
+        return None
 
 
 def run_grid(configs, out_dir=None, emit_traces=True):
@@ -596,8 +607,8 @@ def run_grid(configs, out_dir=None, emit_traces=True):
     cells would write the same trace files."""
     if out_dir is not None and emit_traces:
         seen = {}
-        for j, label in enumerate(map(_cell_label, configs)):
-            if seen.setdefault(label, j) != j:
+        for j, label in enumerate(map(_trace_basename, configs)):
+            if label is not None and seen.setdefault(label, j) != j:
                 raise ValueError(f"runs[{seen[label]}] and runs[{j}] would write the same "
                                  f"trace files ({label!r}); give them distinct labels")
     results = []

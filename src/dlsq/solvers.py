@@ -46,7 +46,9 @@ METHODS = ("ipg", "gd", "nag", "hbm", "apc", "bfgs")
 
 
 def agent_gradient(shard, x):
-    """g_i = A_i^T (A_i x - b_i) from the shard's own rows only."""
+    """Rows shard.cols of g_i = A_i^T (A_i x - b_i), from the shard's own
+    rows only. A_i is zero outside its column span, so the other rows of
+    g_i are zero; execute_round adds the reply at rows cols."""
     return np.dot(shard.AT, np.dot(shard.A, x) - shard.b)
 
 
@@ -56,14 +58,15 @@ def agent_r_matrix(shard, K, m, gram=None):
 
     A_i is zero outside its column span, so the other rows of R_i are just
     -e_j^T / m; the server puts those back (left_out_diagonal). Without
-    gram the block is A_i^T (A_i K); for a full span every operand is then
-    the same buffer with the same strides as the unsliced arrays, so the
-    products round exactly as before. With the agent's local Gram block
-    (local_gram) it is gram K[cols], the same sum in another order.
+    gram the block is A_i^T (A_i K) from the span's transpose shard.AT; for
+    a full span every operand then has the same shape and strides as the
+    unsliced arrays, so the products round exactly as before. With the
+    agent's local Gram block (local_gram) it is gram K[cols], the same sum
+    in another order.
     """
     c = shard.cols
     if gram is None:
-        R = np.dot(shard.AT[c], np.dot(shard.A[:, c], K[c]))
+        R = np.dot(shard.AT, np.dot(shard.A[:, c], K[c]))
     else:
         R = np.dot(gram, K[c])
     # subtract I/m on the block's diagonal without allocating an identity
@@ -86,7 +89,7 @@ def local_gram(shard):
     c = shard.cols
     if c.stop - c.start >= 2 * shard.n_rows:
         return None
-    return np.dot(shard.AT[c], shard.A[:, c])
+    return np.dot(shard.AT, shard.A[:, c])
 
 
 def left_out_diagonal(shards, d):

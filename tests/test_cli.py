@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from dlsq import cli
 from dlsq.cli import _config_from_args, build_parser, main
+from dlsq.datasets import compute_spectrum
 from dlsq.runner import RunConfig, parse_trace, run
 
 SPEC = "synth:60,10,4.0,3"
@@ -329,3 +331,19 @@ def test_negative_scientific_values_parse(tmp_path):
                "--process-low", "-1e-4", "--m", "5", "--max-iters", "40",
                "--stop-tol", "0", "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_bounds_and_spectrum_form_no_k_star(tmp_path, monkeypatch):
+    made = []
+
+    def recorded(A):
+        made.append(compute_spectrum(A))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "compute_spectrum", recorded)
+    assert main(["spectrum", "--dataset", SPEC]) == 0
+    for noise in ("none", "observation", "process"):
+        assert main(["bounds", "--dataset", SPEC, "--noise", noise, "--noise-level", "0.05",
+                     "--horizon", "3", "--out", str(tmp_path / noise)]) == 0
+    assert len(made) == 4
+    assert all("K_star" not in vars(s) for s in made)

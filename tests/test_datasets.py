@@ -1,5 +1,6 @@
 """Dataset layer: file parsing, partitioning, synthesis, eigen-structure."""
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dlsq.datasets import (
     Dataset,
     RankDeficiencyError,
     compute_spectrum,
+    dataset_name,
     load_dataset,
     make_shards,
     parse_matrix_market,
@@ -174,9 +176,20 @@ def test_shard_roundtrip_is_bit_exact(small_problem, m):
 
 
 def test_shards_expose_contiguous_transpose(small_problem):
-    for sh in make_shards(small_problem, 4):
+    for sh in make_shards(small_problem, 4) + make_shards(load_dataset("stencil:8,8"), 10):
         assert sh.AT.flags["C_CONTIGUOUS"]
-        assert np.array_equal(sh.AT, sh.A.T)
+        assert np.array_equal(sh.AT, sh.A[:, sh.cols].T)
+
+
+def test_replaced_shards_keep_their_transpose_consistent():
+    # AT follows A and cols through dataclasses.replace: a forced full span
+    # gets the full transpose back, and a new b keeps the span's
+    for sh in make_shards(load_dataset("stencil:8,8"), 10):
+        assert sh.cols != slice(0, 64)
+        wide = replace(sh, cols=slice(0, 64))
+        assert wide.AT.flags["C_CONTIGUOUS"] and np.array_equal(wide.AT, sh.A.T)
+        assert np.array_equal(replace(wide, cols=sh.cols).AT, sh.AT)
+        assert np.array_equal(replace(sh, b=sh.b + 1.0).AT, sh.AT)
 
 
 def test_shard_column_spans():
@@ -258,6 +271,22 @@ def test_parse_matrix_market_missing_path_names_it(tmp_path):
     p = tmp_path / "tiny.mtx"
     p.write_text("%%MatrixMarket matrix array real general\n2 1\n1.5\n-2\n")
     np.testing.assert_array_equal(parse_matrix_market(str(p)), [[1.5], [-2.0]])
+
+
+@pytest.mark.parametrize("spec", ["synth:30,5,9.0,2", "synth:30,5,9,2", "synth:30,5,9",
+                                  "stencil:4,7", "stencil:1,5"])
+def test_dataset_name_is_the_loaded_name(spec):
+    assert dataset_name(spec) == load_dataset(spec).name
+
+
+def test_dataset_name_reads_no_file(tmp_path):
+    # two spellings of one problem, and two files of one stem, share a name
+    assert dataset_name("synth:60,10,4,3") == dataset_name("synth:60,10,4.0,3")
+    assert dataset_name("synth:60,10,4") == dataset_name("synth:60,10,4,0")
+    assert dataset_name(tmp_path / "a" / "x.mtx") == dataset_name("b/x.mtx") == "x"
+    assert dataset_name("ash608") == "ash608"
+    with pytest.raises(ValueError):
+        dataset_name("synth:30,5")
 
 
 def test_load_dataset_from_mtx_path(tmp_path):
@@ -368,8 +397,34 @@ def test_rank_deficiency_raises():
 def test_spectrum_eigenvalues_ascend(small_problem):
     sp = compute_spectrum(small_problem.A)
     H = small_problem.A.T @ small_problem.A
-    values = np.linalg.eigh(H)[0]
+    values = np.linalg.eigvalsh(H)
     assert np.all(np.diff(values) >= 0)
+    assert np.array_equal(sp.eigenvalues, values)
     assert (sp.lambda_d, sp.lambda_1) == (values[0], values[-1])
-    assert sp.k_star_spec == pytest.approx(1.0 / sp.lambda_d)
+    assert sp.k_star_spec == 1.0 / sp.lambda_d
     assert sp.k_star_fro == pytest.approx(np.linalg.norm(sp.K_star, "fro"))
+
+
+@pytest.mark.parametrize("name", ["synth:60,10,4,3", "synth:608,188,10,3", "stencil:12,12",
+                                  "stencil:30,30"])
+def test_spectrum_within_tolerance_of_eigh_and_solve(name):
+    # eigvalsh and eigh take different LAPACK routes, each accurate to a few
+    # eps * lambda_1 absolute; K_star's norm from either route carries a
+    # relative error of order eps * cond (cond = 37859 on stencil:30,30)
+    A = load_dataset(name).A
+    H = A.T @ A
+    sp = compute_spectrum(A)
+    values = np.linalg.eigh(H)[0]
+    assert abs(sp.lambda_1 - values[-1]) <= 1e-13 * sp.lambda_1
+    assert abs(sp.lambda_d - values[0]) <= 1e-13 * sp.lambda_1
+    fro = np.linalg.norm(np.linalg.solve(H, np.eye(H.shape[0])), "fro")
+    assert abs(sp.k_star_fro - fro) <= 1e-14 * sp.cond * fro
+
+
+def test_k_star_is_solved_on_first_read():
+    A = synthesize_problem(40, 7, cond=9.0, seed=2).A
+    sp = compute_spectrum(A)
+    assert "K_star" not in vars(sp)
+    K = sp.K_star
+    assert np.array_equal(K, np.linalg.solve(A.T @ A, np.eye(7)))
+    assert sp.K_star is K

@@ -520,6 +520,52 @@ def test_grid_rejects_cells_that_would_write_the_same_traces(tmp_path):
     assert all(run_grid(sweep, out_dir=tmp_path / "summary", emit_traces=False)[0])
 
 
+def test_grid_rejects_datasets_that_load_under_one_name(tmp_path):
+    # trace files take the loaded dataset's name: two spellings of one synth
+    # problem, or two .mtx files with one stem, would overwrite each other
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "x.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n")
+    for k, datasets in enumerate((("synth:60,10,4,3", "synth:60,10,4.0,3"),
+                                  (str(tmp_path / "a" / "x.mtx"), str(tmp_path / "b" / "x.mtx")))):
+        out = tmp_path / f"out{k}"
+        configs = [cfg(dataset=ds, method="gd", m=2, max_iters=5) for ds in datasets]
+        with pytest.raises(ValueError, match=re.escape("runs[0] and runs[1] would write")):
+            run_grid(configs, out_dir=out)
+        assert not out.exists()
+        labelled = [replace(c, label=f"cell{i}") for i, c in enumerate(configs)]
+        assert all(run_grid(labelled, out_dir=out)[0])
+    # a malformed spec fails in its own cell, beside a cell that runs
+    _, rows = run_grid([cfg(dataset="synth:60", method="gd", max_iters=5),
+                        cfg(method="gd", max_iters=5)], out_dir=tmp_path / "bad")
+    assert rows[0]["error"].startswith("ValueError") and rows[1]["error"] == ""
+
+
+def test_runs_never_form_k_star(tmp_path, monkeypatch):
+    # a run reads K_star only through its norms, which the eigenvalues give
+    ds = load_dataset(SPEC)
+    sp = compute_spectrum(ds.A)
+    noises = ({}, {"noise": "observation", "noise_level": 0.05},
+              {"noise": "process", "process_kind": "roundoff"},
+              {"noise": "process", "process_kind": "uniform", "noise_level": 1e-4})
+    for method in ("ipg", "gd"):
+        for noise in noises:
+            run(cfg(method=method, max_iters=5, **noise), dataset=ds, spectrum=sp)
+    run_monte_carlo(cfg(reps=2, max_iters=5, **noises[1]), dataset=ds, spectrum=sp)
+    made = []
+
+    def recorded(A):
+        made.append(compute_spectrum(A))
+        return made[-1]
+
+    monkeypatch.setattr(runner, "compute_spectrum", recorded)
+    run_grid([cfg(max_iters=5, **noise) for noise in noises[1:3]], out_dir=tmp_path)
+    run(cfg(max_iters=5, **noises[2]))
+    assert len(made) == 2
+    assert all("K_star" not in vars(s) for s in (sp, *made))
+
+
 def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):
     configs = [cfg(dataset="nosuch.mtx", method="gd"), cfg(dataset="nosuch.mtx", seed=2),
                cfg(dataset="nosuch.mtx", label="mine")]

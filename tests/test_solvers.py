@@ -61,10 +61,12 @@ def test_gradient_vanishes_at_solution(small_problem):
 
 
 def test_gradient_hand_example():
+    # the reply holds rows cols of A_i^T (A_i x - b_i): column 1 is all zero
     sh = make_shards(Dataset(name="t", A=np.array([[1.0, 0.0]]),
                              x_star=np.array([2.0, 0.0]),
                              b=np.array([2.0])), 1)[0]
-    np.testing.assert_array_equal(agent_gradient(sh, np.zeros(2)), [-2.0, 0.0])
+    assert sh.cols == slice(0, 1)
+    np.testing.assert_array_equal(agent_gradient(sh, np.zeros(2)), [-2.0])
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -207,7 +209,51 @@ def test_local_gram_only_where_it_saves_flops():
     assert solver.init_agent_states(dense) == [None] * 10
     stencil = make_shards(load_dataset("stencil:30,30"), 10)
     for sh, gram in zip(stencil, solver.init_agent_states(stencil)):
-        assert np.array_equal(gram, np.dot(sh.AT[sh.cols], sh.A[:, sh.cols]))
+        c = sh.cols
+        assert np.array_equal(gram, np.dot(np.ascontiguousarray(sh.A.T)[c], sh.A[:, c]))
+
+
+def _ash_like(rows=608, cols=188, seed=3):
+    """Two unit entries per row at random columns, the pattern of ash608."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((rows, cols))
+    for i in range(rows):
+        A[i, rng.choice(cols, 2, replace=False)] = 1.0
+    return Dataset(name="ash-like", A=A, x_star=np.ones(cols), b=A @ np.ones(cols))
+
+
+@pytest.mark.parametrize("name", ["stencil:30,30", "stencil:12,12", "synth:608,188,10,3",
+                                  "ash-like"])
+@pytest.mark.parametrize("m", [2, 5, 10, 20])
+def test_span_transposes_match_full_width_products(name, m):
+    ds = _ash_like() if name == "ash-like" else load_dataset(name)
+    d = ds.n_cols
+    rng = np.random.default_rng(m)
+    K = rng.standard_normal((d, d))
+    x = rng.standard_normal(d)
+    for sh in make_shards(ds, m):
+        c = sh.cols
+        # the full-width transpose shards kept before; its other rows are 0
+        full_T = np.ascontiguousarray(sh.A.T)
+        assert np.array_equal(sh.AT, full_T[c])
+        # R_i and the Gram block are the same products, bit for bit
+        want = np.dot(full_T[c], np.dot(sh.A[:, c], K[c]))
+        want.ravel()[c.start :: d + 1] -= 1.0 / m
+        assert np.array_equal(agent_r_matrix(sh, K, m), want)
+        gram = local_gram(sh)
+        assert (gram is None) == (c.stop - c.start >= 2 * sh.n_rows)
+        if gram is not None:
+            assert np.array_equal(gram, np.dot(full_T[c], sh.A[:, c]))
+        # the gradient: rows outside the span are exactly 0; inside it a
+        # narrower matrix-vector product may group the rows differently in
+        # BLAS, so each row is within two dot-product round-off bounds
+        r = np.dot(sh.A, x) - sh.b
+        full = np.dot(full_T, r)
+        assert not full[: c.start].any() and not full[c.stop :].any()
+        g = agent_gradient(sh, x)
+        assert g.shape == (c.stop - c.start,)
+        bound = 2 * sh.n_rows * np.finfo(float).eps * np.dot(np.abs(sh.AT), np.abs(r))
+        assert np.all(np.abs(g - full[c]) <= bound)
 
 
 @pytest.mark.parametrize("observation", [False, True])
