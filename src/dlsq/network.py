@@ -14,7 +14,7 @@ would be alone and still added in agent-id order, so a concurrent round
 gives the same bits as a sequential one.
 
 The server's entrywise work on a large variable (ipg's K - alpha R, its
-round-off and the recorded |after - before|) is split the same way, by
+round-off and the l1 of that round-off) is split the same way, by
 rows (in_row_blocks): every entry is computed by the same operations
 whichever thread computes it, so that split changes no bit either.
 
@@ -40,9 +40,10 @@ import numpy as np
 CONCURRENT_FLOPS = 2e6
 
 # Flops per entry of the server's entrywise chain on one variable: K -
-# alpha R (2), round-off (5) and recording it: a copy, |after - before|
-# and the sum (3). in_row_blocks splits a variable whose entries times this
-# reach CONCURRENT_FLOPS: stencil:30,30's 900 x 900 K (8.1 MFLOP) goes
+# alpha R (2), round-off (5) and the l1 it returns, summed inside the noise
+# kernel's pass: a copy, |after - before| and the row sums (3).
+# in_row_blocks splits a variable whose entries times this reach
+# CONCURRENT_FLOPS: stencil:30,30's 900 x 900 K (8.1 MFLOP) goes
 # concurrent, a 188 x 188 K (0.35 MFLOP) and every iterate do not.
 ENTRY_FLOPS = 10
 

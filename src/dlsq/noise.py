@@ -10,12 +10,15 @@ Every random draw comes from a counter-based Philox stream keyed by
 draws depend only on (seed, variable, iteration) and never on evaluation
 order.
 
-A process model's corrupt(v, stream, iteration, l1=None) overwrites v,
-which the caller owns, with the corrupted variable and returns it. Given
-an array l1 of v's shape, it also writes |after - before| there, in the
-same row-block pass that corrupts each block (in_row_blocks). Round-off
-rounds v by rows; uniform noise adds its draws to v; without process
-noise v is left as it is.
+A process model's corrupt(v, stream, iteration) overwrites v, which the
+caller owns, with the corrupted variable and returns the l1 of the change
+it made. Round-off rounds v and uniform noise adds its draws to v, both in
+one kernel (_corrupt_rows) that rewrites v chunk by chunk of rows, split
+over helpers by in_row_blocks, and sums each row's |after - before| in the
+same pass; the l1 is those row sums summed in row order, so the split never
+changes a bit, and for a 1-D v (one entry per row) it is the sum of the
+entries' |after - before|. Without process noise v is left as it is and
+the l1 is 0.0.
 """
 from __future__ import annotations
 
@@ -75,26 +78,24 @@ def observation_eta(model, n_rows, m):
     return model.expected_l1(max(stop - start for start, stop in partition_rows(n_rows, m)))
 
 
-def apply_observation_noise(shards, seed, model):
-    """Corrupt every shard's b once. Returns (shards, realized), realized
-    being the per-agent l1 magnitudes of the draws."""
-    noisy = []
+def apply_observation_noise(dataset, m, seed, model):
+    """Corrupt, once, the rows of b that each of m agents will hold (the
+    shards make_shards cuts). Returns (dataset with the noisy b, realized),
+    realized being the per-agent l1 magnitudes of the draws."""
+    b = dataset.b.astype(np.float64)
     realized = []
-    for sh in shards:
-        w = model.draw(seed, sh.agent_id, sh.n_rows)
-        # replace derives the shard's AT from A and cols again
-        noisy.append(replace(sh, b=np.ascontiguousarray(sh.b + w)))
+    for agent_id, (start, stop) in enumerate(partition_rows(dataset.n_rows, m)):
+        w = model.draw(seed, agent_id, stop - start)
+        b[start:stop] += w
         realized.append(float(np.abs(w).sum()))
-    return noisy, realized
+    return replace(dataset, b=b), realized
 
 
 class NoProcessNoise:
     """Identity corruption; keeps solver code free of branches."""
 
-    def corrupt(self, v, stream, iteration, l1=None):
-        if l1 is not None:
-            np.abs(np.subtract(v, v, out=l1), out=l1)
-        return v
+    def corrupt(self, v, stream, iteration):
+        return 0.0
 
     def l1_bound(self, length):
         return 0.0
@@ -108,12 +109,10 @@ class UniformProcessNoise:
     low: float
     high: float
 
-    def corrupt(self, v, stream, iteration, l1=None):
+    def corrupt(self, v, stream, iteration):
         gen = stream_generator(self.seed, stream, iteration)
-        rows, draws = np.atleast_1d(v, gen.uniform(self.low, self.high, np.shape(v)))
-        add = _tracking(rows, l1, lambda sl: np.add(rows[sl], draws[sl], out=rows[sl]))
-        in_row_blocks(lambda lo, hi: add(slice(lo, hi)), rows.shape)
-        return v
+        draws = np.atleast_1d(gen.uniform(self.low, self.high, np.shape(v)))
+        return _corrupt_rows(v, lambda y, sl, _: np.add(y, draws[sl], out=y))
 
     def l1_bound(self, length):
         # exact expectation of the l1 norm of one length-`length` draw
@@ -126,71 +125,69 @@ class RoundoffProcessNoise:
 
     decimals: int = 4
 
-    def corrupt(self, v, stream, iteration, l1=None):
-        return _round_half_away(v, 10.0 ** self.decimals, l1)
+    def corrupt(self, v, stream, iteration):
+        return _round_half_away(v, 10.0 ** self.decimals)
 
     def l1_bound(self, length):
         # deterministic bound: each entry moves by at most half a quantum
         return length * 0.5 * 10.0 ** (-self.decimals)
 
 
-def _tracking(rows, l1, change):
-    """change(sl) rewrites rows[sl] in place; given l1, return it wrapped to
-    also write each slice's |after - before| into the same rows of l1."""
-    if l1 is None:
-        return change
-    diff = np.atleast_1d(l1)
-
-    def tracked(sl):
-        np.copyto(diff[sl], rows[sl])
-        change(sl)
-        np.abs(np.subtract(rows[sl], diff[sl], out=diff[sl]), out=diff[sl])
-
-    return tracked
-
-
-# entries rounded per pass of the kernel, so its +-0.5 buffer (512 kB per
-# thread) is not a fresh d x d array every round
+# entries rewritten per pass of the kernel, so its scratch (two 512 kB
+# buffers per thread) is not a fresh d x d array every round
 _ROUND_ENTRIES = 1 << 16
 _SIGN_BIT = np.int64(-(2**63))
 _HALF_BITS = np.float64(0.5).view(np.int64)
 
 
-def _round_half_away(v, scale, l1=None):
-    """Round v half away from zero at the quantum 1/scale in place and
-    return it, writing |after - before| into l1 if given. With y = v *
-    scale, trunc(y + copysign(0.5, y)) makes the same additions as floor(|y|
-    + 0.5) with y's sign restored, so it gives the same bits, and reads
-    nothing but y."""
+def _corrupt_rows(v, change):
+    """Rewrite v in place by change(y, sl, work) on each chunk y = rows sl
+    of v, work being scratch of y's shape, and return the l1 of what
+    changed. Each chunk's rows are copied first and their |after - before|
+    summed along each row into an n-row vector, which is summed in row
+    order at the end: the same bits however in_row_blocks splits the rows."""
     rows = np.atleast_1d(v)  # a 0-d value as one row
     step = max(1, _ROUND_ENTRIES // max(math.prod(rows.shape[1:]), 1))
+    row_l1 = np.empty(rows.shape[0])
 
     def block(lo, hi):
-        half = np.empty((min(step, hi - lo),) + rows.shape[1:])
-
-        def round_rows(sl):
-            y, h = rows[sl], half[: sl.stop - sl.start]
-            y *= scale
-            # h = copysign(0.5, y) set on y's sign bit: numpy vectorizes the
-            # integer ufuncs and not copysign (0.17 against 0.36 ms on
-            # 900 x 900, one thread of a 2-vCPU AMD EPYC VM)
-            np.bitwise_and(y.view(np.int64), _SIGN_BIT, out=h.view(np.int64))
-            np.bitwise_or(h.view(np.int64), _HALF_BITS, out=h.view(np.int64))
-            y += h
-            np.trunc(y, out=y)
-            y /= scale
-
-        rounding = _tracking(rows, l1, round_rows)
+        before, work = np.empty((2, min(step, hi - lo)) + rows.shape[1:])
         for a in range(lo, hi, step):
-            rounding(slice(a, min(a + step, hi)))
+            sl = slice(a, min(a + step, hi))
+            y, b = rows[sl], before[: sl.stop - a]
+            np.copyto(b, y)
+            change(y, sl, work[: sl.stop - a])
+            np.abs(np.subtract(y, b, out=b), out=b)
+            b.reshape(len(b), -1).sum(axis=1, out=row_l1[sl])
 
     in_row_blocks(block, rows.shape)
-    return v
+    return float(row_l1.sum())
+
+
+def _round_half_away(v, scale):
+    """Round v half away from zero at the quantum 1/scale in place and
+    return the l1 of the change. With y = v * scale, trunc(y + copysign(0.5,
+    y)) makes the same additions as floor(|y| + 0.5) with y's sign restored,
+    so it gives the same bits, and reads nothing but y."""
+
+    def round_rows(y, sl, h):
+        y *= scale
+        # h = copysign(0.5, y) set on y's sign bit: numpy vectorizes the
+        # integer ufuncs and not copysign (0.17 against 0.36 ms on 900 x
+        # 900, one thread of a 2-vCPU AMD EPYC VM)
+        np.bitwise_and(y.view(np.int64), _SIGN_BIT, out=h.view(np.int64))
+        np.bitwise_or(h.view(np.int64), _HALF_BITS, out=h.view(np.int64))
+        y += h
+        np.trunc(y, out=y)
+        y /= scale
+
+    return _corrupt_rows(v, round_rows)
 
 
 def roundoff(v, decimals=4):
     """Round half away from zero at `decimals` places (scalar or array)."""
-    out = _round_half_away(np.array(v, dtype=np.float64), 10.0 ** decimals)
+    out = np.array(v, dtype=np.float64)
+    _round_half_away(out, 10.0 ** decimals)
     return float(out) if out.ndim == 0 else out
 
 

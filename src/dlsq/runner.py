@@ -47,27 +47,19 @@ class _RecordingProcessNoise:
     their own streams, so each stream keeps its own sum and count, which
     grow in round order whatever the thread timing; the mean adds the
     streams up in stream order.
-
-    The model writes |after - before| into a buffer kept per stream (apc
-    agents corrupt theirs at once), which no caller ever sees. The buffer
-    is summed whole, so the magnitudes are the bits realized_l1 gives.
     """
 
     def __init__(self, inner, d):
         self._inner = inner
         self._d = d
         self._sums = {}  # stream -> [sum, count]
-        self._diffs = {}  # stream -> |after - before| buffer
 
     def corrupt(self, v, stream, iteration):
-        diff = self._diffs.get(stream)
-        if diff is None:
-            diff = self._diffs[stream] = np.empty(np.shape(v))
-        self._inner.corrupt(v, stream, iteration, l1=diff)
+        l1 = self._inner.corrupt(v, stream, iteration)
         acc = self._sums.setdefault(stream, [0.0, 0])
-        acc[0] += float(diff.sum()) * (self._d / diff.size)
+        acc[0] += l1 * (self._d / np.size(v))
         acc[1] += 1
-        return v
+        return l1
 
     @property
     def realized_mean(self):
@@ -316,10 +308,10 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
-    shards = make_shards(ds, config.m)
     if obs_model is not None:
-        shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
+        ds, eta_realized = apply_observation_noise(ds, config.m, config.seed, obs_model)
         noise_meta["eta_realized_max"] = max(eta_realized)
+    shards = make_shards(ds, config.m)
     if config.noise == "process":
         pnoise = _RecordingProcessNoise(pnoise, d)
 

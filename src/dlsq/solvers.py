@@ -139,8 +139,8 @@ class IPGSolver:
     def init_state(self, shards, d, pnoise):
         x = np.zeros(d)
         K = np.zeros((d, d)) if self.K0 is None else np.array(self.K0, dtype=np.float64)
-        x = pnoise.corrupt(x, STREAM_X, 0)
-        K = pnoise.corrupt(K, STREAM_K, 0)
+        pnoise.corrupt(x, STREAM_X, 0)
+        pnoise.corrupt(K, STREAM_K, 0)
         # the spans are fixed for the run, so the server's diagonal is too
         self._left_out = left_out_diagonal(shards, d)
         return IPGState(x=x, K=K)
@@ -173,10 +173,10 @@ class IPGSolver:
                 R += state.K[lo:hi]
 
             in_row_blocks(refine, R_sum.shape)
-            K_next = pnoise.corrupt(R_sum, STREAM_K, t + 1)
-            x_next = state.x - delta * (K_next @ G)
-            x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
-            return IPGState(x=x_next, K=K_next)
+            pnoise.corrupt(R_sum, STREAM_K, t + 1)
+            x_next = state.x - delta * (R_sum @ G)
+            pnoise.corrupt(x_next, STREAM_X, t + 1)
+            return IPGState(x=x_next, K=R_sum)
 
         return execute_round((state.x, state.K), shards, agent, server, agent_states)
 
@@ -212,7 +212,8 @@ class MomentumSolver:
         self.beta_n = float(beta_n)
 
     def init_state(self, shards, d, pnoise):
-        x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
+        x = np.zeros(d)
+        pnoise.corrupt(x, STREAM_X, 0)
         return MomentumState(x=x, x_prev=x.copy())
 
     def init_agent_states(self, shards):
@@ -224,7 +225,7 @@ class MomentumSolver:
 
         def server(agg):
             x_next = y - self.alpha * agg[0] + (self.beta - self.beta_n) * disp
-            x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
+            pnoise.corrupt(x_next, STREAM_X, t + 1)
             return MomentumState(x=x_next, x_prev=state.x)
 
         return execute_round((y,), shards, gradient_agent, server, agent_states)
@@ -254,8 +255,9 @@ class BFGSSolver:
     """
 
     def init_state(self, shards, d, pnoise):
-        x = pnoise.corrupt(np.zeros(d), STREAM_X, 0)
-        M = pnoise.corrupt(np.eye(d), STREAM_M, 0)
+        x, M = np.zeros(d), np.eye(d)
+        pnoise.corrupt(x, STREAM_X, 0)
+        pnoise.corrupt(M, STREAM_M, 0)
         return BFGSState(x=x, M=M)
 
     def init_agent_states(self, shards):
@@ -275,9 +277,10 @@ class BFGSSolver:
                 else:
                     skipped = skipped + [t]
             # corrupt overwrites M, and the last state still holds state.M
-            M = pnoise.corrupt(state.M.copy() if M is None else M, STREAM_M, t + 1)
+            M = state.M.copy() if M is None else M
+            pnoise.corrupt(M, STREAM_M, t + 1)
             x_next = state.x - M @ G
-            x_next = pnoise.corrupt(x_next, STREAM_X, t + 1)
+            pnoise.corrupt(x_next, STREAM_X, t + 1)
             return BFGSState(x=x_next, M=M, x_prev=state.x, g_prev=G, skipped=skipped)
 
         return execute_round((state.x,), shards, gradient_agent, server, agent_states)
@@ -314,11 +317,11 @@ class APCSolver:
             pinv = np.linalg.pinv(sh.A)
             P = np.eye(d) - pinv @ sh.A
             x_i = pinv @ sh.b
-            x_i = pnoise.corrupt(x_i, STREAM_AGENT_BASE + sh.agent_id, 0)
+            pnoise.corrupt(x_i, STREAM_AGENT_BASE + sh.agent_id, 0)
             self._init_agent.append((x_i, P))
             total += x_i
         xbar = total / len(shards)
-        xbar = pnoise.corrupt(xbar, STREAM_XBAR, 0)
+        pnoise.corrupt(xbar, STREAM_XBAR, 0)
         return APCState(xbar=xbar)
 
     def init_agent_states(self, shards):
@@ -334,13 +337,14 @@ class APCSolver:
         def agent(bc, shard, ast):
             x_i, P = ast
             x_new = x_i + gamma * np.dot(P, bc[0] - x_i)
-            x_new = pnoise.corrupt(x_new, STREAM_AGENT_BASE + shard.agent_id, t + 1)
+            pnoise.corrupt(x_new, STREAM_AGENT_BASE + shard.agent_id, t + 1)
             return (x_new,), (x_new, P)
 
         def server(agg):
             xhat = agg[0] / m
             xbar_next = eta * xhat + (1.0 - eta) * state.xbar
-            return APCState(xbar=pnoise.corrupt(xbar_next, STREAM_XBAR, t + 1))
+            pnoise.corrupt(xbar_next, STREAM_XBAR, t + 1)
+            return APCState(xbar=xbar_next)
 
         return execute_round((state.xbar,), shards, agent, server, agent_states)
 

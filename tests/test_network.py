@@ -207,12 +207,12 @@ def _ipg_states(ds, shards, alpha, pnoise, n_rounds):
 def test_concurrent_rounds_equal_sequential_rounds_bit_for_bit(use_helpers, monkeypatch, rng,
                                                               dataset, noise):
     ds = _problem(dataset)
-    shards = make_shards(ds, 10)
     pnoise = {"none": NoProcessNoise(), "observation": NoProcessNoise(),
               "roundoff": RoundoffProcessNoise(decimals=4),
               "uniform": UniformProcessNoise(seed=3, low=-1e-4, high=2e-4)}[noise]
     if noise == "observation":
-        shards, _ = apply_observation_noise(shards, 3, ObservationNoise(half_width=0.05))
+        ds, _ = apply_observation_noise(ds, 10, 3, ObservationNoise(half_width=0.05))
+    shards = make_shards(ds, 10)
     rng.shuffle(shards)
     threads = set()
     real = solvers.agent_r_matrix
@@ -460,7 +460,10 @@ def _corrupt_from_the_agents_of_a_round(monkeypatch):
     noted = _noted_row_blocks(monkeypatch)
 
     def agent(bc, shard, ast):
-        return (model.corrupt(bc[0] * (shard.agent_id + 1), STREAM_K, 0),), ast
+        v = bc[0] * (shard.agent_id + 1)
+        l1 = model.corrupt(v, STREAM_K, 0)
+        assert l1 == np.abs(v - bc[0] * (shard.agent_id + 1)).sum(axis=1).sum()
+        return (v,), ast
 
     aggregate, _ = execute_round((K,), make_shards(_problem(MC), 10), agent, lambda agg: agg[0])
     assert np.array_equal(aggregate, want)

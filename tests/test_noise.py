@@ -89,14 +89,19 @@ def test_roundoff_in_place_fresh_and_reference_give_the_same_bits(use_helpers, r
     with np.errstate(over="ignore", invalid="ignore"):
         want = _round_half_away_reference(v, 10.0**decimals)
         fresh = roundoff(v, decimals)
-        inplace, l1 = v.copy(), np.empty_like(v)
-        assert model.corrupt(inplace, STREAM_K, 0, l1=l1) is inplace
+        inplace = v.copy()
+        l1 = model.corrupt(inplace, STREAM_K, 0)
         flat = values.copy()
-        assert model.corrupt(flat, STREAM_X, 0) is flat
+        flat_l1 = model.corrupt(flat, STREAM_X, 0)
         flat_want = _round_half_away_reference(values, 10.0**decimals)
-        l1_want = np.abs(want - v)
-    for got, ref in ((fresh, want), (inplace, want), (flat, flat_want), (l1, l1_want)):
+        # by rows, then over the rows; a 1-D variable's rows are its entries
+        l1_want = np.abs(want - v).sum(axis=1).sum()
+        flat_l1_want = realized_l1(values, flat_want)
+    for got, ref in ((fresh, want), (inplace, want), (flat, flat_want)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for got, ref in ((l1, l1_want), (flat_l1, flat_l1_want)):
+        assert type(got) is float
+        assert got == ref or np.isnan(got) and np.isnan(ref)
     # inf and nan survive the rounding, so the divergence guard still sees them
     assert np.array_equal(np.isnan(inplace), np.isnan(v))
     assert np.all(inplace[np.isinf(v)] == v[np.isinf(v)])
@@ -105,47 +110,85 @@ def test_roundoff_in_place_fresh_and_reference_give_the_same_bits(use_helpers, r
 
 def test_roundoff_row_blocks_write_their_own_rows_only(monkeypatch):
     # uneven blocks, run last first, with kernel passes of two rows that
-    # straddle the block ends; the variable and l1 change only in the block
+    # straddle the block ends; the variable and the row sums of |after -
+    # before| change only in the block
     v = np.linspace(-3.0, 3.0, 28).reshape(7, 4) + 1e-5
     want = _round_half_away_reference(v, 10.0)
-    w, l1 = v.copy(), np.full_like(v, np.nan)
+    w = v.copy()
+    row_sums = []
+
+    class Numpy:
+        """numpy, but np.empty(7), the kernel's vector of row sums, is
+        noted and set to nan, so it can be watched as it is filled."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            out = np.empty(shape, *args, **kwargs)
+            if shape == 7:
+                out[:] = np.nan
+                row_sums.append(out)
+            return out
 
     def blocks(fn, shape):
+        (sums,) = row_sums
         for lo, hi in [(4, 7), (1, 4), (0, 1)]:
-            before = w.copy(), l1.copy()
+            before = w.copy(), sums.copy()
             fn(lo, hi)
             outside = np.ones(shape[0], bool)
             outside[lo:hi] = False
-            for now, was in zip((w, l1), before):
+            for now, was in zip((w, sums), before):
                 assert np.array_equal(now[outside], was[outside], equal_nan=True)
+                assert not np.array_equal(now[lo:hi], was[lo:hi], equal_nan=True)
 
+    monkeypatch.setattr(noise, "np", Numpy())
     monkeypatch.setattr(noise, "in_row_blocks", blocks)
     monkeypatch.setattr(noise, "_ROUND_ENTRIES", 9)
-    assert RoundoffProcessNoise(decimals=1).corrupt(w, STREAM_K, 0, l1=l1) is w
+    l1 = RoundoffProcessNoise(decimals=1).corrupt(w, STREAM_K, 0)
     assert np.array_equal(w, want)
-    assert np.array_equal(l1, np.abs(want - v))
+    assert np.array_equal(row_sums[0], np.abs(want - v).sum(axis=1))
+    assert l1 == np.abs(want - v).sum(axis=1).sum()
 
 
 def test_process_models_corrupt_in_place_and_write_l1():
+    # every model overwrites v and returns the l1 of the change as a float
     v = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     draws = stream_generator(2, STREAM_K, 5).uniform(-1, 1, v.shape)
     for model, want in ((RoundoffProcessNoise(decimals=1), roundoff(v, 1)),
                         (UniformProcessNoise(seed=2, low=-1, high=1), v + draws),
                         (NoProcessNoise(), v)):
         inplace = v.copy()
-        assert model.corrupt(inplace, STREAM_K, 5) is inplace
+        l1 = model.corrupt(inplace, STREAM_K, 5)
+        assert type(l1) is float
         assert np.array_equal(inplace, want)
-        tracked, l1 = v.copy(), np.full_like(v, np.nan)
-        assert model.corrupt(tracked, STREAM_K, 5, l1=l1) is tracked
-        assert np.array_equal(tracked, want)
-        assert np.array_equal(l1, np.abs(want - v))
+        assert l1 == np.abs(want - v).sum(axis=1).sum()
+        scalar = np.array(v[1, 2])
+        assert model.corrupt(scalar, STREAM_X, 5) == realized_l1(v[1, 2], scalar)
+
+
+@pytest.mark.parametrize("entries", [9, 4001, 77_777])
+def test_corrupt_l1_does_not_depend_on_the_row_split(use_helpers, monkeypatch, rng, entries):
+    # 900 x 900 goes over the helpers by rows (network.ENTRY_FLOPS); kernel
+    # passes of odd sizes straddle the block ends
+    monkeypatch.setattr(noise, "_ROUND_ENTRIES", entries)
+    v = rng.uniform(-1.0, 1.0, (900, 900))
+    for model in (RoundoffProcessNoise(decimals=3), UniformProcessNoise(seed=4, low=-1, high=2)):
+        results = []
+        for helpers in (True, False):
+            use_helpers(helpers)
+            w = v.copy()
+            results.append((model.corrupt(w, STREAM_K, 1), w))
+        (l1, w), (pinned_l1, pinned_w) = results
+        assert np.array_equal(w, pinned_w)
+        assert l1 == pinned_l1 == np.abs(w - v).sum(axis=1).sum()
 
 
 def test_roundoff_process_model_is_deterministic():
     model = RoundoffProcessNoise(decimals=4)
     v = np.array([1.23456789, -0.00004999])
-    a = model.corrupt(v.copy(), STREAM_X, 3)
-    b = model.corrupt(v.copy(), STREAM_X, 900)
+    a, b = v.copy(), v.copy()
+    assert model.corrupt(a, STREAM_X, 3) == model.corrupt(b, STREAM_X, 900)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, [1.2346, 0.0])
 
@@ -158,11 +201,8 @@ def test_roundoff_mean_error_quarter_quantum(rng):
     # mean |round error| for uniformly distributed entries is q/4
     d = 188
     model = RoundoffProcessNoise(decimals=4)
-    samples = []
-    for _ in range(400):
-        v = rng.uniform(-1, 1, d)
-        samples.append(model.corrupt(v.copy(), STREAM_X, 0) - v)
-    level = float(np.mean([np.abs(w).sum() for w in samples]))
+    level = float(np.mean([model.corrupt(rng.uniform(-1, 1, d), STREAM_X, 0)
+                           for _ in range(400)]))
     assert level == pytest.approx(188 * 0.25e-4, rel=0.05)
 
 
@@ -192,17 +232,20 @@ def test_successive_iterations_uncorrelated():
 
 def test_uniform_process_noise_range_and_freshness():
     model = UniformProcessNoise(seed=5, low=0.0, high=1e-3)
-    w1 = model.corrupt(np.zeros(50), STREAM_X, 1)
-    w2 = model.corrupt(np.zeros(50), STREAM_X, 2)
+    w1, w2, again = np.zeros(50), np.zeros(50), np.zeros(50)
+    l1 = model.corrupt(w1, STREAM_X, 1)
+    model.corrupt(w2, STREAM_X, 2)
     assert np.all(w1 >= 0.0) and np.all(w1 < 1e-3)
+    assert l1 == w1.sum()
     assert not np.array_equal(w1, w2)
-    np.testing.assert_array_equal(w1, model.corrupt(np.zeros(50), STREAM_X, 1))
+    assert model.corrupt(again, STREAM_X, 1) == l1
+    np.testing.assert_array_equal(w1, again)
 
 
 def test_no_process_noise_is_identity():
     v = np.arange(4.0)
-    out = NoProcessNoise().corrupt(v, STREAM_X, 0)
-    assert out is v
+    assert NoProcessNoise().corrupt(v, STREAM_X, 0) == 0.0
+    assert np.array_equal(v, np.arange(4.0))
     assert NoProcessNoise().l1_bound(100) == 0.0
 
 
@@ -236,39 +279,37 @@ def test_uniform_process_l1_bound_gr_convention():
 
 def test_apply_observation_noise_levels_and_determinism():
     ds = synthesize_problem(61 * 2, 6, cond=3.0, seed=0)
-    shards = make_shards(ds, 2)
     model = ObservationNoise(0.25)
-    noisy, realized = apply_observation_noise(shards, seed=9, model=model)
+    noisy, realized = apply_observation_noise(ds, 2, seed=9, model=model)
+    assert noisy.A is ds.A and noisy.x_star is ds.x_star
 
-    for sh, nsh, real in zip(shards, noisy, realized):
+    for sh, nsh, real in zip(make_shards(ds, 2), make_shards(noisy, 2), realized):
         w = nsh.b - sh.b
         assert np.all(np.abs(w) < 0.25)
+        # each agent's draw from its own stream, over the rows it holds
+        assert np.array_equal(nsh.b, sh.b + model.draw(9, sh.agent_id, sh.n_rows))
         assert real == pytest.approx(np.abs(w).sum())
         assert np.array_equal(nsh.A, sh.A)
 
-    again, realized2 = apply_observation_noise(shards, seed=9, model=model)
-    for a, b in zip(noisy, again):
-        np.testing.assert_array_equal(a.b, b.b)
+    again, realized2 = apply_observation_noise(ds, 2, seed=9, model=model)
+    np.testing.assert_array_equal(noisy.b, again.b)
     assert realized == realized2
 
-    other, _ = apply_observation_noise(shards, seed=10, model=model)
-    assert not np.array_equal(noisy[0].b, other[0].b)
+    other, _ = apply_observation_noise(ds, 2, seed=10, model=model)
+    assert not np.array_equal(noisy.b, other.b)
 
 
 def test_observation_draws_differ_across_agents():
     ds = synthesize_problem(40, 4, cond=2.0, seed=1)
-    shards = make_shards(ds, 2)
-    noisy, _ = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.1))
-    w0 = noisy[0].b - shards[0].b
-    w1 = noisy[1].b - shards[1].b
-    assert not np.array_equal(w0, w1)
+    noisy, _ = apply_observation_noise(ds, 2, seed=3, model=ObservationNoise(0.1))
+    w = noisy.b - ds.b
+    assert not np.array_equal(w[:20], w[20:])
 
 
 def test_zero_half_width_is_exact():
     ds = synthesize_problem(20, 4, cond=2.0, seed=1)
-    shards = make_shards(ds, 2)
-    noisy, realized = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.0))
-    np.testing.assert_array_equal(noisy[0].b, shards[0].b)
+    noisy, realized = apply_observation_noise(ds, 2, seed=3, model=ObservationNoise(0.0))
+    np.testing.assert_array_equal(noisy.b, ds.b)
     assert realized == [0.0, 0.0]
     assert observation_eta(ObservationNoise(0.0), 20, 2) == 0.0
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
-from dlsq.datasets import compute_spectrum, load_dataset, make_shards, synthesize_problem
+from dlsq.datasets import Shard, compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.noise import (
     STREAM_AGENT_BASE,
     STREAM_K,
@@ -267,7 +267,7 @@ class _Fault:
     def corrupt(self, v, stream, iteration):
         if (stream, iteration) == (self.stream, self.at):
             v.flat[0] = self.value
-        return v
+        return 0.0
 
 
 # process-noise streams, written at round 7, and agent replies, at round 5
@@ -660,20 +660,19 @@ def test_realized_noise_mean_does_not_depend_on_stream_interleaving(rng):
 
 
 class _WaitingModel:
-    """Writes a distinct l1 for each (stream, iteration), then waits on barrier."""
+    """Waits on barrier, then returns a distinct l1 for each (stream, iteration)."""
 
     def __init__(self, barrier):
         self.barrier = barrier
 
-    def corrupt(self, v, stream, iteration, l1=None):
-        l1[...] = np.arange(l1.size).reshape(l1.shape) * stream + iteration
+    def corrupt(self, v, stream, iteration):
         self.barrier.wait()
-        return v
+        return float(stream * 10 + iteration)
 
 
-def test_recorder_keeps_a_buffer_per_stream_for_concurrent_calls():
-    # two threads corrupt two streams of one shape at once: each model call
-    # has written its l1 before either returns
+def test_concurrent_calls_on_two_streams_keep_their_own_sums():
+    # two threads corrupt two streams of one shape at once: both model calls
+    # are under way before either returns its l1
     streams = (STREAM_AGENT_BASE, STREAM_AGENT_BASE + 1)
 
     def corrupt_all(recorder, stream_list):
@@ -690,40 +689,114 @@ def test_recorder_keeps_a_buffer_per_stream_for_concurrent_calls():
     assert not any(thread.is_alive() for thread in threads)
     sequential = runner._RecordingProcessNoise(_WaitingModel(threading.Barrier(1)), 4)
     corrupt_all(sequential, streams)
-    assert recorder._sums == sequential._sums
-    assert sequential._sums[streams[0]] != sequential._sums[streams[1]]
+    # each l1 scaled from 12 entries to a length-4 variable, in round order
+    assert recorder._sums == sequential._sums == {
+        s: [sum((s * 10.0 + t) * (4 / 12) for t in range(3)), 3] for s in streams}
 
 
-class _ParentRecorder(runner._RecordingProcessNoise):
-    """The fresh realized-noise formula: realized_l1 of each corruption
-    against a copy of the variable taken before it."""
+class _FreshRecorder(runner._RecordingProcessNoise):
+    """The fresh realized-noise formula: l1(before, after) of each
+    corruption against a copy of the variable taken before it, l1 being
+    realized_l1, the sum of the whole |after - before|."""
+
+    l1 = staticmethod(realized_l1)
 
     def corrupt(self, v, stream, iteration):
         before = v.copy()
-        after = self._inner.corrupt(v, stream, iteration)
+        self._inner.corrupt(v, stream, iteration)
+        l1 = self.l1(before, v)
         acc = self._sums.setdefault(stream, [0.0, 0])
-        acc[0] += realized_l1(before, after) * (self._d / np.size(v))
+        acc[0] += l1 * (self._d / np.size(v))
         acc[1] += 1
-        return after
+        return l1
+
+
+class _ByRowsRecorder(_FreshRecorder):
+    """The same with |after - before| summed along each row, then over the rows."""
+
+    @staticmethod
+    def l1(before, after):
+        diff = np.abs(after - before)
+        return float(diff.sum(axis=1).sum() if diff.ndim == 2 else diff.sum())
 
 
 @pytest.mark.parametrize("dataset, method", [("stencil:30,30", "ipg"), (SPEC, "ipg"),
-                                             (SPEC, "bfgs"), (SPEC, "apc")])
+                                             (SPEC, "bfgs"), (SPEC, "apc"), (SPEC, "gd"),
+                                             (SPEC, "nag"), (SPEC, "hbm")])
 @pytest.mark.parametrize("kind", ["roundoff", "uniform"])
 def test_realized_noise_mean_equals_the_fresh_corruption_formula(use_helpers, monkeypatch,
                                                                   dataset, method, kind):
-    # on stencil:30,30 the recorder forms |after - before| of K by rows on helpers
+    # on stencil:30,30 the model sums |after - before| of K by rows on helpers
     config = RunConfig(dataset, method, m=10, max_iters=4, stop_tol=0.0, noise="process",
                        process_kind=kind, process_low=-1e-4, noise_level=2e-4,
                        **({"alpha": 0.007} if dataset.startswith("stencil") else {}))
     ds = load_dataset(dataset)
     sp = compute_spectrum(ds.A)
     got = run(config, dataset=ds, spectrum=sp)
-    monkeypatch.setattr(runner, "_RecordingProcessNoise", _ParentRecorder)
-    want = run(config, dataset=ds, spectrum=sp)
-    assert got.summary["noise"]["omega_realized_mean"] > 0
-    assert without_wall_time(got.summary) == without_wall_time(want.summary)
-    assert trace_csv_text(got) == trace_csv_text(want)
+    refs = {}
+    for recorder in (_FreshRecorder, _ByRowsRecorder):
+        monkeypatch.setattr(runner, "_RecordingProcessNoise", recorder)
+        refs[recorder] = run(config, dataset=ds, spectrum=sp)
+    fresh, by_rows = refs.values()
+    mean = got.summary["noise"]["omega_realized_mean"]
+    assert mean > 0
+    assert without_wall_time(got.summary) == without_wall_time(by_rows.summary)
+    if method in ("ipg", "bfgs"):
+        # K and M are d x d, whose |after - before| the model sums by rows.
+        # numpy's pairwise sum of N nonnegative terms lies within
+        # (log2 N + 11) u of the exact sum, relative (u = 2^-53; 128-term
+        # leaves summed in 8 lanes of 16, then halved pairwise). The fresh
+        # formula sums d^2 terms once, (2 log2 d + 11) u; by rows sums d
+        # terms twice, (2 log2 d + 22) u. For d = 900: 3.4e-15 and 4.6e-15,
+        # so the two differ by < 8e-15; the recorder's few additions of
+        # nonnegative terms per stream keep that under 1e-14
+        assert mean == pytest.approx(fresh.summary["noise"]["omega_realized_mean"],
+                                     rel=1e-14, abs=0)
+    else:
+        # every stream is 1-D, whose rows are its entries: the same sums
+        assert without_wall_time(got.summary) == without_wall_time(fresh.summary)
+    assert trace_csv_text(got) == trace_csv_text(fresh) == trace_csv_text(by_rows)
+
+
+def _arrays_in(obj):
+    """How many ndarrays obj holds, in dicts, lists and tuples at any depth."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_arrays_in, obj))
+    return isinstance(obj, np.ndarray)
+
+
+@pytest.mark.parametrize("method", ["ipg", "bfgs", "apc"])
+def test_the_recorder_keeps_no_array_of_the_run(monkeypatch, method):
+    made = []
+
+    class Noted(runner._RecordingProcessNoise):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runner, "_RecordingProcessNoise", Noted)
+    run(cfg(method=method, noise="process", max_iters=5, stop_tol=0.0))
+    (recorder,) = made
+    assert recorder.realized_mean > 0
+    assert _arrays_in(vars(recorder)) == 0
+
+
+def test_an_observation_run_builds_each_agents_shard_once(monkeypatch):
+    # the noise goes onto b before the shards are cut, so no shard (and no
+    # copy of its span transpose AT) is built a second time
+    built = []
+    real = Shard.__post_init__
+
+    def noted(shard):
+        built.append(shard.agent_id)
+        real(shard)
+
+    monkeypatch.setattr(Shard, "__post_init__", noted)
+    trace = run(cfg(method="gd", noise="observation", noise_level=0.05, max_iters=3))
+    assert trace.summary["noise"]["eta_realized_max"] > 0
+    assert built == list(range(5))
 
 
 def test_process_summary_records_realized_level():

@@ -266,10 +266,9 @@ def test_ipg_compressed_matches_forced_dense(observation):
     # m = 2: spans of 40 < 2 n_i = 64 columns take the Gram route, and the
     # full span of 64 columns keeps the two products
     for m in (10, 2):
-        shards = make_shards(ds, m)
+        noisy = apply_observation_noise(ds, m, 3, ObservationNoise(0.05))[0] if observation else ds
+        shards = make_shards(noisy, m)
         assert any(sh.cols != slice(0, d) for sh in shards)
-        if observation:
-            shards, _ = apply_observation_noise(shards, 3, ObservationNoise(0.05))
         assert [g is None for g in make_solver("ipg", params).init_agent_states(shards)] == (
             [m == 10] * m)
         curves = []
@@ -604,12 +603,15 @@ def test_ipg_process_sequencing_oracle():
     pn = UniformProcessNoise(seed=seed, low=0.0, high=1e-3)
 
     from dlsq.noise import STREAM_K, STREAM_X
-    x = pn.corrupt(np.zeros(2), STREAM_X, 0)
-    K = pn.corrupt(np.zeros((2, 2)), STREAM_K, 0)
+    x, K = np.zeros(2), np.zeros((2, 2))
+    pn.corrupt(x, STREAM_X, 0)
+    pn.corrupt(K, STREAM_K, 0)
     oracle = [x.copy()]
     for t in range(6):
-        K = pn.corrupt(K - alpha * (H @ K - np.eye(2)), STREAM_K, t + 1)
-        x = pn.corrupt(x - delta * (K @ (H @ x - c)), STREAM_X, t + 1)
+        K = K - alpha * (H @ K - np.eye(2))
+        pn.corrupt(K, STREAM_K, t + 1)
+        x = x - delta * (K @ (H @ x - c))
+        pn.corrupt(x, STREAM_X, t + 1)
         oracle.append(x.copy())
 
     xs = trajectory(("ipg", {"alpha": alpha, "delta": delta}), ds, m=1,
