@@ -132,30 +132,15 @@ def gd_process_asymptote(delta, lambda_1, lambda_d, omega):
 def process_error_bound(bi, t):
     """Bound on the expected corrupted error at round t.
 
-    B(t) = (prod_{k=1..t} u(k)) z0 + (1 + sum_{j=1..t} prod_{k=j..t} u(k)) omega,
-    evaluated by one backward recurrence in log space. Divergent inputs
+    B(t) = (prod_{k=1..t} u(k)) z0 + (1 + sum_{j=1..t} prod_{k=j..t} u(k)) omega:
+    the value ProcessBoundAccumulator reaches at round t. Divergent inputs
     yield inf, returned as-is.
     """
-    if t == 0:
-        return bi.z0 + bi.omega
-    # suffix-product sum S(k) = u(k) (1 + S(k-1)), S(0) = 0, so that
-    # S(t) = sum_{j=1..t} prod_{i=j..t} u(i)
-    log_s = -math.inf
-    log_p = 0.0
+    bound = bi.z0 + bi.omega
+    acc = ProcessBoundAccumulator(bi)
     for k in range(1, t + 1):
-        lu = _log_factor(bi, k)
-        log_s = lu + _log1pexp(log_s)
-        log_p += lu
-    head = _exp(log_p + math.log(bi.z0)) if bi.z0 > 0 else 0.0
-    return head + (1.0 + _exp(log_s)) * bi.omega
-
-
-def _log_factor(bi, k):
-    u = process_step_factor(bi, k)
-    if u <= 0.0:
-        # delta = 1 with a vanishing drift term; treat as a dead stop
-        return -math.inf
-    return math.log(u)
+        _, bound = acc.update(k)
+    return bound
 
 
 def _exp(x):
@@ -174,7 +159,8 @@ def _log1pexp(x):
 
 
 class ProcessBoundAccumulator:
-    """Incremental log-space evaluation of process_error_bound along a run.
+    """Incremental log-space evaluation of the process bound B(t) along a
+    run; process_error_bound(bi, t) is its value at t.
 
     update(t) for t = 1, 2, ... returns (u_t, bound_t) and must be called
     in order; the bound at t = 0 needs no update, it is z0 + omega.
@@ -190,11 +176,12 @@ class ProcessBoundAccumulator:
         if t != self._t + 1:
             raise ValueError(f"updates must be consecutive; expected {self._t + 1}, got {t}")
         self._t = t
-        lu = _log_factor(self.bi, t)
+        u_t = process_step_factor(self.bi, t)
+        # u_t <= 0 only at delta = 1 with a vanishing drift term: a dead stop
+        lu = math.log(u_t) if u_t > 0.0 else -math.inf
         self._log_p += lu
         # S(t) = 1 + u(t) S(t-1)
         self._log_s = _log1pexp(lu + self._log_s)
-        u_t = process_step_factor(self.bi, t)
         head = _exp(self._log_p + math.log(self.bi.z0)) if self.bi.z0 > 0 else 0.0
         bound = head + _exp(self._log_s) * self.bi.omega
         return u_t, bound

@@ -143,13 +143,24 @@ REGISTRY = {
 }
 
 
-def _mm_tokens(text):
-    """Yield (line_number, stripped_line) skipping comments and blanks."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("%"):
-            continue
-        yield ln, s
+def _mm_body(lines):
+    """Yield (1-based line number, tokens) for each line after the header
+    that is neither blank nor a comment."""
+    for ln in range(1, len(lines)):
+        toks = lines[ln].split()
+        if toks and not toks[0].startswith("%"):
+            yield ln + 1, toks
+
+
+def _number(tok, kind, line):
+    """kind(tok): float for a value, int for an index; a token kind cannot
+    read is a MatrixMarketError naming the line."""
+    try:
+        return kind(tok)
+    except ValueError:
+        raise MatrixMarketError(
+            f"bad value {tok!r}" if kind is float else "indices must be integers", line
+        ) from None
 
 
 def parse_matrix_market(source):
@@ -179,16 +190,10 @@ def parse_matrix_market(source):
     if fmt == "array" and fieldname == "pattern":
         raise MatrixMarketError("pattern field is only meaningful in coordinate format", 1)
 
-    body = _mm_tokens("\n".join(lines[1:]))
-    # re-number: _mm_tokens counted from the line after the header
-    body = ((ln + 1, s) for ln, s in body)
-
-    try:
-        size_ln, size_line = next(body)
-    except StopIteration:
-        raise MatrixMarketError("missing size line", len(lines)) from None
-
-    parts = size_line.split()
+    body = _mm_body(lines)
+    size_ln, parts = next(body, (len(lines), None))
+    if parts is None:
+        raise MatrixMarketError("missing size line", size_ln)
     want = 3 if fmt == "coordinate" else 2
     if len(parts) != want:
         raise MatrixMarketError(f"size line needs {want} integers", size_ln)
@@ -199,73 +204,59 @@ def parse_matrix_market(source):
     if any(v < 0 for v in dims):
         raise MatrixMarketError("negative dimension", size_ln)
     n_rows, n_cols = dims[0], dims[1]
-    if symmetry == "symmetric" and n_rows != n_cols:
+    symmetric = symmetry == "symmetric"
+    if symmetric and n_rows != n_cols:
         raise MatrixMarketError("symmetric matrix must be square", size_ln)
 
-    M = np.zeros((n_rows, n_cols), dtype=np.float64)
-
+    last_ln = size_ln
     if fmt == "coordinate":
         nnz = dims[2]
+        width = 2 if fieldname == "pattern" else 3
+        M = np.zeros((n_rows, n_cols), dtype=np.float64)
         seen = 0
-        last_ln = size_ln
-        for ln, s in body:
-            last_ln = ln
+        for last_ln, toks in body:
             seen += 1
             if seen > nnz:
-                raise MatrixMarketError(f"more than the declared {nnz} entries", ln)
-            toks = s.split()
-            if fieldname == "pattern":
-                if len(toks) != 2:
-                    raise MatrixMarketError("pattern entry needs 'i j'", ln)
-                v = 1.0
-            else:
-                if len(toks) != 3:
-                    raise MatrixMarketError("entry needs 'i j value'", ln)
-                try:
-                    v = float(toks[2])
-                except ValueError:
-                    raise MatrixMarketError(f"bad value {toks[2]!r}", ln) from None
-            try:
-                i, j = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise MatrixMarketError("indices must be integers", ln) from None
+                raise MatrixMarketError(f"more than the declared {nnz} entries", last_ln)
+            if len(toks) != width:
+                raise MatrixMarketError(
+                    "pattern entry needs 'i j'" if width == 2 else "entry needs 'i j value'",
+                    last_ln)
+            v = 1.0 if width == 2 else _number(toks[2], float, last_ln)
+            i, j = _number(toks[0], int, last_ln), _number(toks[1], int, last_ln)
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketError(
-                    f"index ({i}, {j}) outside {n_rows} x {n_cols}", ln
+                    f"index ({i}, {j}) outside {n_rows} x {n_cols}", last_ln
                 )
             M[i - 1, j - 1] += v
-            if symmetry == "symmetric" and i != j:
+            if symmetric and i != j:
                 M[j - 1, i - 1] += v
         if seen != nnz:
             raise MatrixMarketError(f"declared {nnz} entries, found {seen}", last_ln)
-    else:
-        # array format: dense column-major listing; symmetric stores the
-        # lower triangle (column by column, from the diagonal down)
-        if symmetry == "general":
-            coords = [(i, j) for j in range(n_cols) for i in range(n_rows)]
-        else:
-            coords = [(i, j) for j in range(n_cols) for i in range(j, n_rows)]
-        k = 0
-        last_ln = size_ln
-        for ln, s in body:
-            last_ln = ln
-            for tok in s.split():
-                if k >= len(coords):
-                    raise MatrixMarketError("more entries than the header implies", ln)
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise MatrixMarketError(f"bad value {tok!r}", ln) from None
-                i, j = coords[k]
-                M[i, j] = v
-                if symmetry == "symmetric" and i != j:
-                    M[j, i] = v
-                k += 1
-        if k != len(coords):
-            raise MatrixMarketError(
-                f"expected {len(coords)} entries, found {k}", last_ln
-            )
+        return M
 
+    # array format: a dense column-major listing; symmetric lists the lower
+    # triangle column by column, from the diagonal down. Every value is read
+    # before the matrix is built, so a short file costs what it holds.
+    total = n_rows * (n_rows + 1) // 2 if symmetric else n_rows * n_cols
+    vals = []
+    for last_ln, toks in body:
+        room = total - len(vals)
+        for tok in toks[:room]:
+            vals.append(_number(tok, float, last_ln))
+        if len(toks) > room:
+            raise MatrixMarketError("more entries than the header implies", last_ln)
+    if len(vals) != total:
+        raise MatrixMarketError(f"expected {total} entries, found {len(vals)}", last_ln)
+    M = np.zeros((n_rows, n_cols), dtype=np.float64)
+    if symmetric:
+        # the lower triangle column by column is the upper triangle of M^T
+        # row by row
+        r, c = np.triu_indices(n_rows)
+        M[c, r] = vals
+        M[r, c] = vals
+    else:
+        M.T.flat = vals
     return M
 
 

@@ -122,6 +122,9 @@ def bfgs_update(M, s, y, sy):
 class IPGState:
     x: np.ndarray
     K: np.ndarray
+    # the -1/m diagonal entries the agents' replies leave out
+    # (left_out_diagonal); the spans are fixed for the run, so this is too
+    left_out: np.ndarray
 
 
 class IPGSolver:
@@ -141,9 +144,7 @@ class IPGSolver:
         K = np.zeros((d, d)) if self.K0 is None else np.array(self.K0, dtype=np.float64)
         pnoise.corrupt(x, STREAM_X, 0)
         pnoise.corrupt(K, STREAM_K, 0)
-        # the spans are fixed for the run, so the server's diagonal is too
-        self._left_out = left_out_diagonal(shards, d)
-        return IPGState(x=x, K=K)
+        return IPGState(x=x, K=K, left_out=left_out_diagonal(shards, d))
 
     def init_agent_states(self, shards):
         # each agent's local Gram block, or None where its two products
@@ -162,7 +163,7 @@ class IPGSolver:
         def server(agg):
             G, R_sum = agg
             # subtracting 0.0 on full spans leaves every bit unchanged
-            R_sum.ravel()[:: d + 1] -= self._left_out
+            R_sum.ravel()[:: d + 1] -= state.left_out
 
             # K - alpha R_sum in the aggregate's own fresh buffer, which the
             # round owns and corrupts: negation is exact, so
@@ -176,7 +177,7 @@ class IPGSolver:
             pnoise.corrupt(R_sum, STREAM_K, t + 1)
             x_next = state.x - delta * (R_sum @ G)
             pnoise.corrupt(x_next, STREAM_X, t + 1)
-            return IPGState(x=x_next, K=R_sum)
+            return IPGState(x=x_next, K=R_sum, left_out=state.left_out)
 
         return execute_round((state.x, state.K), shards, agent, server, agent_states)
 

@@ -211,11 +211,12 @@ def test_process_error_bound_survives_huge_transients(bi, diverges):
 @pytest.mark.parametrize("bi, horizon", [(make_bi(), 50), (GATES_FAIL, 250)],
                          ids=["gates-hold", "gates-fail"])
 def test_accumulator_matches_closed_form(bi, horizon):
+    oracle = brute_force_bound(bi, horizon)
     acc = ProcessBoundAccumulator(bi)
     for t in range(1, horizon):
         u, b = acc.update(t)
         assert u == pytest.approx(process_step_factor(bi, t), rel=1e-12)
-        assert b == pytest.approx(process_error_bound(bi, t), rel=1e-9)
+        assert b == pytest.approx(oracle[t], rel=1e-9)
 
 
 @st.composite
@@ -244,11 +245,12 @@ def process_bound_inputs(draw, gates_hold):
 def test_accumulator_matches_closed_form_at_every_round(gates_hold, data):
     bi = data.draw(process_bound_inputs(gates_hold))
     assert process_gates(bi)[2] == gates_hold
+    oracle = brute_force_bound(bi, 60)
     acc = ProcessBoundAccumulator(bi)
     for t in range(1, 61):
         u, b = acc.update(t)
         assert u == pytest.approx(process_step_factor(bi, t), rel=1e-12)
-        assert b == pytest.approx(process_error_bound(bi, t), rel=1e-9)
+        assert b == pytest.approx(oracle[t], rel=1e-9)
 
 
 def test_accumulator_requires_consecutive_updates():

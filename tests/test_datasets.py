@@ -1,9 +1,12 @@
 """Dataset layer: file parsing, partitioning, synthesis, eigen-structure."""
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlsq.datasets import (
     MatrixMarketError,
@@ -125,11 +128,28 @@ def test_scientific_notation_values():
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", 3),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", 3),
     ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", 5),
+    # a bad token before the first surplus value wins over the surplus
+    ("%%MatrixMarket matrix array real general\n2 1\n1\nabc\n3\n", 4),
+    # surplus values are reported at the first extra one's line
+    ("%%MatrixMarket matrix array real general\n2 1\n1 2\n% c\n3\nabc\n", 5),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n\n1 2 abc\n", 5),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MatrixMarketError) as ei:
         mm(text)
     assert ei.value.line == line
+
+
+@pytest.mark.parametrize("values,message", [
+    ("1 abc 3", "bad value 'abc'"),
+    ("1 2 abc", "more entries than the header implies"),
+])
+def test_array_values_are_checked_in_file_order(values, message):
+    # on one line, whichever of a bad value and the first surplus value
+    # comes first is reported
+    with pytest.raises(MatrixMarketError, match=message) as ei:
+        mm(f"%%MatrixMarket matrix array real general\n2 1\n{values}\n")
+    assert ei.value.line == 3
 
 
 def test_coordinate_too_few_entries():
@@ -140,6 +160,93 @@ def test_coordinate_too_few_entries():
 def test_empty_input_rejected():
     with pytest.raises(MatrixMarketError):
         mm("")
+
+
+MM_VALUES = {
+    "real": st.floats(-1e300, 1e300).map(repr),
+    "integer": st.integers(-999, 999).map(str),
+}
+
+
+def _mm_file(draw, header, lines):
+    """The header, then lines, with comment and blank lines drawn between them."""
+    out = [header]
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["% note", "%", "", "   "]), max_size=2))
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def coordinate_files(draw, symmetry):
+    """(file text, the matrix it holds). Entries repeat cells at random and,
+    in a symmetric file, may name either triangle; the matrix sums them in
+    file order."""
+    fieldname = draw(st.sampled_from(["real", "integer", "pattern"]))
+    n = draw(st.integers(0, 6))
+    k = n if symmetry == "symmetric" else draw(st.integers(0, 6))
+    cells = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(k, 1)))
+    value = st.just("") if fieldname == "pattern" else MM_VALUES[fieldname]
+    entries = draw(st.lists(st.tuples(cells, value), max_size=12)) if n and k else []
+    M = [[0.0] * k for _ in range(n)]
+    for (i, j), v in entries:
+        x = float(v) if v else 1.0
+        M[i - 1][j - 1] += x
+        if symmetry == "symmetric" and i != j:
+            M[j - 1][i - 1] += x
+    lines = [f"{n} {k} {len(entries)}"] + [f"{i} {j} {v}".rstrip() for (i, j), v in entries]
+    text = _mm_file(draw, f"%%MatrixMarket matrix coordinate {fieldname} {symmetry}", lines)
+    return text, np.array(M, dtype=np.float64).reshape(n, k)
+
+
+@st.composite
+def array_files(draw, symmetry):
+    """(file text, the matrix it holds): values column by column, the lower
+    triangle only when symmetric, split across lines at random."""
+    fieldname = draw(st.sampled_from(["real", "integer"]))
+    n = draw(st.integers(0, 6))
+    k = n if symmetry == "symmetric" else draw(st.integers(0, 6))
+    cells = [(i, j) for j in range(k) for i in range(j if symmetry == "symmetric" else 0, n)]
+    values = draw(st.lists(MM_VALUES[fieldname], min_size=len(cells), max_size=len(cells)))
+    M = [[0.0] * k for _ in range(n)]
+    for (i, j), v in zip(cells, values):
+        M[i][j] = float(v)
+        if symmetry == "symmetric":
+            M[j][i] = float(v)
+    breaks = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    lines, line = [f"{n} {k}"], []
+    for v, brk in zip(values, breaks):
+        line.append(v)
+        if brk:
+            lines.append(" ".join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    text = _mm_file(draw, f"%%MatrixMarket matrix array {fieldname} {symmetry}", lines)
+    return text, np.array(M, dtype=np.float64).reshape(n, k)
+
+
+@pytest.mark.parametrize("files", [coordinate_files, array_files], ids=["coordinate", "array"])
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_market_round_trip(files, symmetry, data):
+    text, M = data.draw(files(symmetry))
+    A = mm(text)
+    assert A.shape == M.shape and A.dtype == np.float64
+    assert A.tobytes() == M.tobytes()  # bit for bit: -0.0 is kept
+
+
+def test_rejecting_a_short_array_file_builds_no_matrix():
+    # the header promises 2000 x 2000 values; the file holds one
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixMarketError, match="expected 4000000 entries, found 1"):
+            mm("%%MatrixMarket matrix array real general\n2000 2000\n1.5\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # -- partitioning and shards ------------------------------------------------

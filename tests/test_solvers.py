@@ -347,12 +347,37 @@ def test_ipg_fixed_point_is_stationary(small_problem):
     shards = make_shards(ds, 5)
     pn = NoProcessNoise()
     state = solver.init_state(shards, ds.n_cols, pn)
-    state = type(state)(x=ds.x_star.copy(), K=state.K)
+    state = replace(state, x=ds.x_star.copy())
     agent_states = solver.init_agent_states(shards)
     for t in range(3):
         state, agent_states = solver.step(state, shards, agent_states, pn, t)
     np.testing.assert_allclose(state.x, ds.x_star, atol=1e-9)
     np.testing.assert_allclose(state.K, sp.K_star, atol=1e-9)
+
+
+def test_one_ipg_solver_drives_interleaved_runs():
+    # the left-out diagonal belongs to the run: two runs over different
+    # column spans that share one solver each keep a fresh solver's bits
+    ds = load_dataset("stencil:12,12")
+    sp = compute_spectrum(ds.A)
+    d = ds.n_cols
+
+    def solver():
+        return IPGSolver(alpha=1.0 / sp.lambda_1, delta=1.0)
+
+    shared = solver()
+    runs = {m: rounds(shared, make_shards(ds, m), d, NoProcessNoise()) for m in (5, 12)}
+    assert all(left_out_diagonal(make_shards(ds, m), d).any() for m in runs)
+    got = {m: [] for m in runs}
+    for _ in range(21):
+        for m, it in runs.items():
+            state = next(it)[1]
+            got[m].append((state.x.copy(), state.K.copy()))
+    for m in runs:
+        fresh = rounds(solver(), make_shards(ds, m), d, NoProcessNoise())
+        for (x, K), (_, want) in zip(got[m], fresh):
+            np.testing.assert_array_equal(x, want.x)
+            np.testing.assert_array_equal(K, want.K)
 
 
 def test_preconditioner_columns_contract_at_richardson_rate(small_problem):

@@ -1,4 +1,4 @@
-"""The golden gate: 111 fixed runs whose traces a change should keep.
+"""The golden gate: 113 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR] [--one-cpu]
@@ -15,7 +15,9 @@ noise, whose d x d K is also updated, corrupted and recorded by rows on
 every CPU; seed 0, 30 rounds, m=10), plus gd and ipg on stencil:30,30
 with m=5 and no noise (NARROW_SPANS; seed 0, 30 rounds), whose agents
 reply over column spans narrow enough that a change to the span products
-shows in the err column. ``record``
+shows in the err column, plus ipg on stencil:12,12's matrix read back
+from a Matrix Market file, once per form in MTX_FORMS (m=5, seed 0, 30
+rounds, no noise), so a change to the parser shows. ``record``
 writes, for every run, the SHA-256 of ``trace_csv_text``, the text
 itself, the stop reason and, for a process-noise run, the repr of its
 ``omega_realized_mean``, which the CSV does not hold. ``check`` reruns
@@ -44,6 +46,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -80,6 +83,9 @@ CONCURRENT = {
 # match the full-width one bit for bit
 NARROW_SPANS = {f"stencil:30,30/m5/{method}/none/s0": {"method": method}
                 for method in ("gd", "ipg")}
+# the files are written to a temporary directory and named by form alone,
+# so neither the keys nor the traces hold its path
+MTX_FORMS = ("coordinate real symmetric", "array real general")
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
@@ -93,9 +99,23 @@ def _run(config):
             None if realized is None else repr(realized))
 
 
+def _write_mtx(path, A, form):
+    """A as a Matrix Market file of one of MTX_FORMS: a symmetric
+    coordinate file lists the lower triangle's nonzeros, an array file
+    every value column by column."""
+    n, k = len(A), len(A[0])
+    if form.startswith("coordinate"):
+        cells = [(i, j) for j in range(k) for i in range(j, n) if A[i][j]]
+        body = [f"{n} {k} {len(cells)}"] + [f"{i + 1} {j + 1} {A[i][j]!r}" for i, j in cells]
+    else:
+        body = [f"{n} {k}"] + [repr(A[i][j]) for j in range(k) for i in range(n)]
+    path.write_text("\n".join([f"%%MatrixMarket matrix {form}", *body]) + "\n")
+
+
 def golden_runs():
     """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
     or None) for every run of the set."""
+    from dlsq.datasets import load_dataset
     from dlsq.runner import RunConfig
     from dlsq.solvers import METHODS
 
@@ -117,6 +137,14 @@ def golden_runs():
     for key, extra in NARROW_SPANS.items():
         yield key, *_run(RunConfig(dataset="stencil:30,30", seed=0, m=5, max_iters=30,
                                    stop_tol=0.0, **extra))
+    A = load_dataset("stencil:12,12").A.tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        for form in MTX_FORMS:
+            path = Path(tmp) / f"stencil12-{form.replace(' ', '-')}.mtx"
+            _write_mtx(path, A, form)
+            yield (f"mtx:{form.replace(' ', '-')}/stencil:12,12/m5/ipg/none/s0",
+                   *_run(RunConfig(dataset=str(path), method="ipg", seed=0, m=5, max_iters=30,
+                                   stop_tol=0.0)))
 
 
 def _sha256(text):
