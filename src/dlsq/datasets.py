@@ -10,6 +10,8 @@ over the network. Directory resolution order: explicit argument, the
 """
 from __future__ import annotations
 
+import copy
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,10 +68,16 @@ class Shard:
     # empty for an all-zero shard. A stays full width; agents use the span
     # to compute and send only the rows their shard can touch.
     cols: slice
-    # rows cols of A^T, a contiguous copy made from A and cols (so also by
-    # dataclasses.replace) for the agents' second products; multiplying by
-    # the strided A.T view instead rounds differently and changes traces
+    # rows cols of A^T, a contiguous copy made from A and cols whenever a
+    # shard is constructed (dataclasses.replace included, bind excluded) for
+    # the agents' second products; multiplying by the strided A.T view
+    # instead rounds differently and changes traces
     AT: np.ndarray = field(init=False, repr=False)
+    # the agents' set-up that depends on A and cols alone, by method (apc's
+    # pseudo-inverse and projector, ipg's local Gram block): a solver fills
+    # its entry on first use, every binding of the shard shares it, and
+    # run_grid drops it after the method's last cell on this cut
+    prep: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "AT", np.ascontiguousarray(self.A[:, self.cols].T))
@@ -77,6 +85,13 @@ class Shard:
     @property
     def n_rows(self):
         return self.A.shape[0]
+
+    def bind(self, b):
+        """This shard holding b in its place; A, cols, AT and prep are
+        shared, not copied."""
+        shard = copy.copy(self)
+        object.__setattr__(shard, "b", b)
+        return shard
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,32 @@ def _number(tok, kind, line):
         ) from None
 
 
+def _sum_entries(entries, shape):
+    """The shape matrix holding coordinate entries, a flat list of (line,
+    i, j, value) with 1-based i and j, each cell the sum of its values in
+    list order: 0.0 + v1 + v2 + ..., as adding them one by one would.
+    Two finite values whose sum overflows are a MatrixMarketError naming
+    the line that overflowed."""
+    if not entries:
+        return np.zeros(shape)
+    n_rows, n_cols = shape
+    rows, cols = (np.array(entries[k::4], dtype=np.intp) for k in (1, 2))
+    cells = rows * n_cols + cols - (n_cols + 1)
+    # bincount adds each weight into its bin in input order
+    M = np.bincount(cells, weights=entries[3::4], minlength=n_rows * n_cols).reshape(shape)
+    if not np.isfinite(M.ravel()[cells]).all():
+        # an inf or nan in the file, or an overflow: replay the sums to tell
+        sums = {}
+        for k in range(0, len(entries), 4):
+            ln, i, j, v = entries[k:k + 4]
+            s = sums.get((i, j), 0.0)
+            sums[i, j] = t = s + v
+            if math.isinf(t) and math.isfinite(s) and math.isfinite(v):
+                raise MatrixMarketError(
+                    f"entries at ({i}, {j}) sum past the float range", ln)
+    return M
+
+
 def parse_matrix_market(source):
     """Parse a Matrix Market file into a dense float64 array.
 
@@ -210,10 +251,13 @@ def parse_matrix_market(source):
 
     last_ln = size_ln
     if fmt == "coordinate":
+        # every entry is read before the matrix is built, so a short file
+        # costs what it holds; a symmetric entry off the diagonal is listed
+        # again, mirrored, right after itself
         nnz = dims[2]
         width = 2 if fieldname == "pattern" else 3
-        M = np.zeros((n_rows, n_cols), dtype=np.float64)
         seen = 0
+        entries = []  # line, i, j, value, line, i, j, value, ...
         for last_ln, toks in body:
             seen += 1
             if seen > nnz:
@@ -228,12 +272,12 @@ def parse_matrix_market(source):
                 raise MatrixMarketError(
                     f"index ({i}, {j}) outside {n_rows} x {n_cols}", last_ln
                 )
-            M[i - 1, j - 1] += v
+            entries += (last_ln, i, j, v)
             if symmetric and i != j:
-                M[j - 1, i - 1] += v
+                entries += (last_ln, j, i, v)
         if seen != nnz:
             raise MatrixMarketError(f"declared {nnz} entries, found {seen}", last_ln)
-        return M
+        return _sum_entries(entries, (n_rows, n_cols))
 
     # array format: a dense column-major listing; symmetric lists the lower
     # triangle column by column, from the diagonal down. Every value is read

@@ -26,7 +26,8 @@ from .analysis import (
     estimation_error,
     observation_step_bound,
 )
-from .datasets import REGISTRY, compute_spectrum, dataset_name, load_dataset, make_shards
+from .datasets import (REGISTRY, compute_spectrum, dataset_name, load_dataset, make_shards,
+                       partition_rows)
 from .noise import (
     NoProcessNoise,
     ObservationNoise,
@@ -293,12 +294,20 @@ def bound_columns(noise, bi):
     return columns
 
 
-def run(config, dataset=None, spectrum=None, on_iteration=None):
+def _is_cut(shards, A, m):
+    """Whether shards are make_shards' cut of A's rows for m agents."""
+    return ([(sh.row_start, sh.row_stop) for sh in shards] == partition_rows(len(A), m)
+            and all(np.array_equal(sh.A, A[sh.row_start:sh.row_stop]) for sh in shards))
+
+
+def run(config, dataset=None, spectrum=None, on_iteration=None, shards=None):
     """Execute one run (config.seed) and return its RunTrace.
 
-    dataset and spectrum may be passed directly to skip recomputing them
-    across repetitions; on_iteration, when given, is called with
-    (state, row) after every round.
+    dataset, spectrum and shards (make_shards of the dataset at config.m)
+    may be passed directly to skip recomputing them across repetitions:
+    the run binds its own b to the shards, so one cut serves every run on
+    the same A and m; shards cut from other rows are a ValueError.
+    on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
     ds = dataset if dataset is not None else load_dataset(config.dataset, config.data_dir)
@@ -311,7 +320,11 @@ def run(config, dataset=None, spectrum=None, on_iteration=None):
     if obs_model is not None:
         ds, eta_realized = apply_observation_noise(ds, config.m, config.seed, obs_model)
         noise_meta["eta_realized_max"] = max(eta_realized)
-    shards = make_shards(ds, config.m)
+    if shards is None:
+        shards = make_shards(ds, config.m)
+    elif not _is_cut(shards, ds.A, config.m):
+        raise ValueError(f"shards must be make_shards of this dataset at m={config.m}")
+    shards = [sh.bind(ds.b[sh.row_start:sh.row_stop]) for sh in shards]
     if config.noise == "process":
         pnoise = _RecordingProcessNoise(pnoise, d)
 
@@ -416,18 +429,21 @@ def rep_seed(base_seed, rep):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_monte_carlo(config, dataset=None, spectrum=None):
-    """config.reps independent runs over derived seeds."""
+def run_monte_carlo(config, dataset=None, spectrum=None, shards=None):
+    """config.reps independent runs over derived seeds, all on one cut of
+    the dataset (shards, as run takes them; made here when not given)."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.data_dir)
     if spectrum is None:
         spectrum = compute_spectrum(dataset.A)
+    if shards is None:
+        shards = make_shards(dataset, config.m)
     traces_first = None
     finals = []
     summaries = []
     for r in range(config.reps):
         cfg_r = replace(config, seed=rep_seed(config.seed, r), reps=1)
-        trace = run(cfg_r, dataset=dataset, spectrum=spectrum)
+        trace = run(cfg_r, dataset=dataset, spectrum=spectrum, shards=shards)
         if r == 0:
             traces_first = trace
         finals.append(trace.final_err)
@@ -591,32 +607,53 @@ def _trace_basename(cfg):
         return None
 
 
+def _problem(cfg):
+    """(Dataset, Spectrum) of a config's dataset."""
+    ds = load_dataset(cfg.dataset, cfg.data_dir)
+    return ds, compute_spectrum(ds.A)
+
+
+def _drop_setup(shards, method):
+    """Drop method's set-up from every shard of a cut."""
+    for sh in shards:
+        sh.prep.pop(method, None)
+
+
 def run_grid(configs, out_dir=None, emit_traces=True):
     """Run every config, isolating per-cell failures. Returns (results,
     summary_rows), one of each per config, the result None for a cell that
     failed (its run or writing its trace); optionally writes traces and a
     grid summary CSV. Raises ValueError, before any cell runs, when two
-    cells would write the same trace files."""
+    cells would write the same trace files.
+
+    A dataset is loaded, and cut for each m, once: its cells share the
+    cut and each method's set-up on it (Shard.prep). Each is dropped right
+    after the last cell that uses it."""
     if out_dir is not None and emit_traces:
         seen = {}
         for j, label in enumerate(map(_trace_basename, configs)):
             if label is not None and seen.setdefault(label, j) != j:
                 raise ValueError(f"runs[{seen[label]}] and runs[{j}] would write the same "
                                  f"trace files ({label!r}); give them distinct labels")
+    last = {}  # dataset, (dataset, m), (dataset, m, method) -> its last cell
+    for j, cfg in enumerate(configs):
+        key = (cfg.dataset, cfg.data_dir)
+        last[key] = last[key, cfg.m] = last[key, cfg.m, cfg.method] = j
     results = []
     summary_rows = []
-    cache = {}
-    for cfg in configs:
+    problems = {}  # dataset -> (Dataset, Spectrum)
+    cuts = {}  # (dataset, m) -> shards
+    for j, cfg in enumerate(configs):
         row = {c: "" for c in GRID_COLUMNS}
         row.update(label=_cell_label(cfg), dataset=cfg.dataset,
                    method=cfg.method, noise=cfg.noise, seed=cfg.seed, reps=cfg.reps)
+        key = (cfg.dataset, cfg.data_dir)
         try:
-            key = (cfg.dataset, cfg.data_dir)
-            if key not in cache:
-                ds = load_dataset(cfg.dataset, cfg.data_dir)
-                cache[key] = (ds, compute_spectrum(ds.A))
-            ds, sp = cache[key]
-            mc = run_monte_carlo(cfg, dataset=ds, spectrum=sp)
+            if key not in problems:
+                problems[key] = _problem(cfg)
+            if (key, cfg.m) not in cuts:
+                cuts[key, cfg.m] = make_shards(problems[key][0], cfg.m)
+            mc = run_monte_carlo(cfg, *problems[key], shards=cuts[key, cfg.m])
             first = mc.first_trace
             row.update(
                 label=trace_label(first),
@@ -635,6 +672,12 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         # one result per cell, None where its row reports an error
         results.append(mc)
         summary_rows.append(row)
+        if last[key, cfg.m, cfg.method] == j:
+            _drop_setup(cuts.get((key, cfg.m), ()), cfg.method)
+        if last[key, cfg.m] == j:
+            cuts.pop((key, cfg.m), None)
+        if last[key] == j:
+            problems.pop(key, None)
 
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -92,6 +92,26 @@ def local_gram(shard):
     return np.dot(shard.AT, shard.A[:, c])
 
 
+def apc_projection(shard):
+    """(pinv(A_i), P_i = I - pinv(A_i) A_i): apc's map from b_i to the
+    agent's least-norm solution and its projector onto the null space of
+    A_i. P is built in its own buffer; 0.0 - v, then + 1.0 on the diagonal,
+    gives the bits of np.eye(d) - v."""
+    pinv = np.linalg.pinv(shard.A)
+    P = pinv @ shard.A
+    np.subtract(0.0, P, out=P)
+    P.ravel()[:: P.shape[1] + 1] += 1.0
+    return pinv, P
+
+
+def prepared(shard, method, build):
+    """shard.prep[method], made by build(shard) on the first call: set-up
+    that depends on the shard's A and cols alone is built once per cut."""
+    if method not in shard.prep:
+        shard.prep[method] = build(shard)
+    return shard.prep[method]
+
+
 def left_out_diagonal(shards, d):
     """Per row j, (number of shards whose column span misses j) / m: the
     -1/m diagonal entries the agent_r_matrix blocks leave out of their sum.
@@ -104,15 +124,25 @@ def left_out_diagonal(shards, d):
 
 def bfgs_update(M, s, y, sy):
     """(I - r s y^T) M (I - r y s^T) + r s s^T with r = 1/sy, expanded
-    for a general (not necessarily symmetric) M."""
+    for a general (not necessarily symmetric) M, in a fresh array.
+
+    Evaluated as M - r (s yM^T + My s^T) + (r^2 yMy + r) s s^T with every
+    elementwise operation in that order, in two d x d buffers: the same
+    bits as forming each outer product in an array of its own."""
     r = 1.0 / sy
     My = np.dot(M, y)
     yM = np.dot(y, M)
     yMy = np.dot(yM, y)
-    ss = s.reshape(-1, 1) * s.reshape(1, -1)
-    sYM = s.reshape(-1, 1) * yM.reshape(1, -1)
-    Mys = My.reshape(-1, 1) * s.reshape(1, -1)
-    return M - r * (sYM + Mys) + (r * r * yMy + r) * ss
+    col_s = s.reshape(-1, 1)
+    out = np.multiply(col_s, yM.reshape(1, -1))
+    work = np.multiply(My.reshape(-1, 1), s.reshape(1, -1))
+    out += work
+    out *= r
+    np.subtract(M, out, out=out)
+    np.multiply(col_s, s.reshape(1, -1), out=work)
+    work *= r * r * yMy + r
+    out += work
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +179,7 @@ class IPGSolver:
     def init_agent_states(self, shards):
         # each agent's local Gram block, or None where its two products
         # are cheaper; agents hand it back unchanged every round
-        return [local_gram(sh) for sh in shards]
+        return [prepared(sh, "ipg", local_gram) for sh in shards]
 
     def step(self, state, shards, agent_states, pnoise, t):
         m = len(shards)
@@ -315,8 +345,7 @@ class APCSolver:
         total = np.zeros(d)
         self._init_agent = []
         for sh in shards:
-            pinv = np.linalg.pinv(sh.A)
-            P = np.eye(d) - pinv @ sh.A
+            pinv, P = prepared(sh, "apc", apc_projection)
             x_i = pinv @ sh.b
             pnoise.corrupt(x_i, STREAM_AGENT_BASE + sh.agent_id, 0)
             self._init_agent.append((x_i, P))

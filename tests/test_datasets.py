@@ -133,6 +133,11 @@ def test_scientific_notation_values():
     # surplus values are reported at the first extra one's line
     ("%%MatrixMarket matrix array real general\n2 1\n1 2\n% c\n3\nabc\n", 5),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n\n1 2 abc\n", 5),
+    # duplicates whose sum overflows are reported at the entry that overflows
+    ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 2 1.7976931348623157e308\n"
+     "2 2 1e308\n% c\n1 2 1.7976931348623157e308\n", 6),
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 -1.7976931348623157e308\n"
+     "1 2 -1e308\n", 4),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(MatrixMarketError) as ei:
@@ -235,6 +240,24 @@ def test_matrix_market_round_trip(files, symmetry, data):
     A = mm(text)
     assert A.shape == M.shape and A.dtype == np.float64
     assert A.tobytes() == M.tobytes()  # bit for bit: -0.0 is kept
+
+
+def test_non_finite_values_sum_without_an_error():
+    # an inf in the file is a value, not an overflow: it sums as numpy adds it
+    A = mm("%%MatrixMarket matrix coordinate real general\n1 2 3\n1 1 inf\n1 1 1e308\n"
+           "1 2 -inf\n")
+    assert A.tolist() == [[np.inf, -np.inf]]
+
+
+def test_rejecting_a_short_coordinate_file_builds_no_matrix():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixMarketError, match="declared 5 entries, found 1"):
+            mm("%%MatrixMarket matrix coordinate real general\n2000 2000 5\n1 1 1.5\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_rejecting_a_short_array_file_builds_no_matrix():

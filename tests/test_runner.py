@@ -3,6 +3,7 @@ import json
 import re
 import threading
 import warnings
+import weakref
 from dataclasses import asdict, replace
 from itertools import count
 
@@ -564,6 +565,91 @@ def test_runs_never_form_k_star(tmp_path, monkeypatch):
     run(cfg(max_iters=5, **noises[2]))
     assert len(made) == 2
     assert all("K_star" not in vars(s) for s in (sp, *made))
+
+
+GRID_NOISES = (dict(noise="none"), dict(noise="observation", noise_level=0.05, reps=3),
+               dict(noise="process", process_kind="roundoff"))
+
+
+def test_grid_cells_equal_fresh_monte_carlo_calls(tmp_path):
+    # cells share each (dataset, m) cut and apc's and ipg's set-up on it;
+    # every cell must still read exactly as if it ran alone
+    configs = [cfg(dataset=ds, m=m, method=method, max_iters=25, stop_tol=0.0, seed=3, **noise)
+               for ds in (SPEC, "stencil:4,4") for m in (3, 5)
+               for method in ("apc", "ipg", "gd") for noise in GRID_NOISES]
+    configs += [cfg(method="bfgs", max_iters=25), cfg(method="apc", max_iters=25, reps=2)]
+    configs = [replace(c, label=f"cell{j}") for j, c in enumerate(configs)]
+    results, rows = run_grid(configs, out_dir=tmp_path)
+    assert all(results)
+    for c, mc, row in zip(configs, results, rows):
+        alone = run_monte_carlo(c)
+        assert mc.final_errs.tobytes() == alone.final_errs.tobytes()
+        assert [without_wall_time(s) for s in mc.summaries] == [
+            without_wall_time(s) for s in alone.summaries]
+        first = alone.first_trace
+        assert (row["final_err"], row["final_err_mean"], row["final_err_std"]) == (
+            first.final_err, alone.mean, alone.std)
+        assert (row["iterations"], row["stopped"]) == (first.summary["iterations"],
+                                                       first.summary["stopped"])
+        assert (tmp_path / f"{c.label}.csv").read_text() == trace_csv_text(first)
+
+
+def _tracked(made):
+    """A wrapper of a function that records weak references to the arrays
+    or shards it returns."""
+    def wrap(fn):
+        def noted(*args):
+            out = fn(*args)
+            for x in out if isinstance(out, (list, tuple)) else (out,):
+                made.append(weakref.ref(x))
+            return out
+        return noted
+    return wrap
+
+
+def _alive(refs):
+    return sum(r() is not None for r in refs)
+
+
+def test_shared_setup_is_dropped_after_its_last_cell(monkeypatch):
+    cuts, projections = [], []
+    monkeypatch.setattr(runner, "make_shards", _tracked(cuts)(make_shards))
+    monkeypatch.setattr(solvers, "apc_projection", _tracked(projections)(solvers.apc_projection))
+    seen = []  # per cell: (method, projections alive, shards alive) as it starts
+    real = runner.run_monte_carlo
+
+    def noted(config, *args, **kw):
+        seen.append((config.method, _alive(projections), _alive(cuts)))
+        return real(config, *args, **kw)
+
+    monkeypatch.setattr(runner, "run_monte_carlo", noted)
+    observed = dict(noise="observation", noise_level=0.05)
+    configs = [cfg(method="apc", max_iters=5), cfg(method="bfgs", max_iters=5),
+               cfg(method="apc", max_iters=5, reps=3, **observed),
+               cfg(method="gd", max_iters=5), cfg(method="gd", m=3, max_iters=5),
+               cfg(method="gd", max_iters=5)]
+    assert all(run_grid(configs)[0])
+    m = configs[0].m
+    # one pseudo-inverse and projector per agent, shared by both apc cells
+    # (four runs) and gone once the second has run; the m=3 cut lives for
+    # its one cell
+    assert len(projections) == 2 * m and len(cuts) == m + 3
+    assert seen == [("apc", 0, m), ("bfgs", 2 * m, m), ("apc", 2 * m, m), ("gd", 0, m),
+                    ("gd", 0, m + 3), ("gd", 0, m)]
+    assert _alive(cuts) == _alive(projections) == 0
+    run_monte_carlo(replace(configs[2], reps=2))
+    assert len(projections) == 4 * m and _alive(cuts) == _alive(projections) == 0
+
+
+def test_run_rejects_shards_of_another_cut():
+    ds = load_dataset(SPEC)
+    c = cfg(method="gd", max_iters=5)
+    trace = run(c, dataset=ds, shards=make_shards(ds, c.m))
+    assert trace.rows == run(c).rows
+    other = synthesize_problem(60, 10, cond=4.0, seed=4)
+    for shards in (make_shards(ds, 3), make_shards(other, c.m), make_shards(ds, c.m)[:-1]):
+        with pytest.raises(ValueError, match="shards must be make_shards of this dataset"):
+            run(c, dataset=ds, shards=shards)
 
 
 def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):

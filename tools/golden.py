@@ -1,4 +1,4 @@
-"""The golden gate: 113 fixed runs whose traces a change should keep.
+"""The golden gate: 122 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR] [--one-cpu]
@@ -17,17 +17,23 @@ with m=5 and no noise (NARROW_SPANS; seed 0, 30 rounds), whose agents
 reply over column spans narrow enough that a change to the span products
 shows in the err column, plus ipg on stencil:12,12's matrix read back
 from a Matrix Market file, once per form in MTX_FORMS (m=5, seed 0, 30
-rounds, no noise), so a change to the parser shows. ``record``
-writes, for every run, the SHA-256 of ``trace_csv_text``, the text
-itself, the stop reason and, for a process-noise run, the repr of its
-``omega_realized_mean``, which the CSV does not hold. ``check`` reruns
+rounds, no noise), so a change to the parser shows, plus the nine cells
+of one ``run_grid`` call (GRID: apc, gd and bfgs x none / observation
+0.05 / round-off on synth:60,10,4,3, seed 0, 300 rounds, m=10, 3 reps on
+the observation cells), whose cells share one cut of A and apc's set-up,
+so a change to what a grid shares shows. ``record`` writes, for every
+run, the SHA-256 of ``trace_csv_text``, the text itself, the stop reason
+and, for a process-noise run, the repr of its ``omega_realized_mean``,
+which the CSV does not hold; for a grid cell, also the repr of its
+``final_errs``, one per rep. ``check`` reruns
 the set and, for every trace whose hash differs, prints the largest
 absolute err gap, the largest relative gap in the bound columns, and
 whether the stop reason, round count and diverged flags match; a
-realized mean whose repr differs is printed too. It ends with one line:
-how many traces differ, the largest err and bound gaps among them, how
-many realized means differ and the largest relative gap among them, and
-any stop, round or diverged mismatch.
+realized mean or a grid cell's final errors whose repr differs is
+printed too. It ends with one line: how many traces differ, the largest
+err and bound gaps among them, how many realized means differ and the
+largest relative gap among them, how many grid cells' final errors
+differ, and any stop, round or diverged mismatch.
 Then it reruns the set in a child pinned to one CPU (``--one-cpu``),
 where every round is sequential, which prints the same. It exits 0 when
 every hash and realized mean matches in both, 1 otherwise.
@@ -86,17 +92,26 @@ NARROW_SPANS = {f"stencil:30,30/m5/{method}/none/s0": {"method": method}
 # the files are written to a temporary directory and named by form alone,
 # so neither the keys nor the traces hold its path
 MTX_FORMS = ("coordinate real symmetric", "array real general")
+GRID = [(method, noise) for method in ("apc", "gd", "bfgs")
+        for noise in ("none", "observation", "roundoff")]
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
-def _run(config):
-    """(trace csv text, stop reason, repr of omega_realized_mean or None)."""
-    from dlsq.runner import run, trace_csv_text
+def _outputs(trace, final_errs=None):
+    """(trace csv text, stop reason, repr of omega_realized_mean or None,
+    repr of the final errors as a list or None)."""
+    from dlsq.runner import trace_csv_text
 
-    trace = run(config)
     realized = trace.summary["noise"].get("omega_realized_mean")
     return (trace_csv_text(trace), trace.summary["stopped"],
-            None if realized is None else repr(realized))
+            None if realized is None else repr(realized),
+            None if final_errs is None else repr([float(e) for e in final_errs]))
+
+
+def _run(config):
+    from dlsq.runner import run
+
+    return _outputs(run(config))
 
 
 def _write_mtx(path, A, form):
@@ -114,9 +129,10 @@ def _write_mtx(path, A, form):
 
 def golden_runs():
     """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
-    or None) for every run of the set."""
+    or None, repr of a grid cell's final errors or None) for every run of
+    the set."""
     from dlsq.datasets import load_dataset
-    from dlsq.runner import RunConfig
+    from dlsq.runner import RunConfig, run_grid
     from dlsq.solvers import METHODS
 
     for dataset in DATASETS:
@@ -145,6 +161,15 @@ def golden_runs():
             yield (f"mtx:{form.replace(' ', '-')}/stencil:12,12/m5/ipg/none/s0",
                    *_run(RunConfig(dataset=str(path), method="ipg", seed=0, m=5, max_iters=30,
                                    stop_tol=0.0)))
+    results, rows = run_grid([
+        RunConfig(dataset=DATASETS[0], method=method, seed=0, m=10, max_iters=300, stop_tol=0.0,
+                  reps=3 if noise == "observation" else 1, **NOISES[noise])
+        for method, noise in GRID])
+    for (method, noise), mc, row in zip(GRID, results, rows):
+        if mc is None:
+            raise RuntimeError(f"grid cell {method}/{noise} failed: {row['error']}")
+        yield (f"grid:{DATASETS[0]}/{method}/{noise}/s0",
+               *_outputs(mc.first_trace, mc.final_errs))
 
 
 def _sha256(text):
@@ -153,8 +178,9 @@ def _sha256(text):
 
 def record():
     return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
-                  "omega_realized_mean": realized}
-            for key, text, stopped, realized in golden_runs()}
+                  "omega_realized_mean": realized,
+                  **({} if finals is None else {"final_errs": finals})}
+            for key, text, stopped, realized, finals in golden_runs()}
 
 
 def _rows(text):
@@ -193,13 +219,16 @@ def compare(want, got_text, got_stopped):
 
 
 def check(recorded):
-    gaps, realized_gaps, missing = [], [], 0
-    for key, text, stopped, realized in golden_runs():
+    gaps, realized_gaps, finals_differ, missing = [], [], 0, 0
+    for key, text, stopped, realized, finals in golden_runs():
         want = recorded.get(key)
         if want is None:
             print(f"{key}: not in the recorded file")
             missing += 1
             continue
+        if finals != want.get("final_errs"):
+            finals_differ += 1
+            print(f"{key}: final_errs {finals} against {want.get('final_errs')} recorded")
         recorded_mean = want.get("omega_realized_mean")
         if realized != recorded_mean:
             realized_gaps.append(_rel_gap(*(None if r is None else float(r)
@@ -226,12 +255,13 @@ def check(recorded):
     line += f"; {len(realized_gaps)} of {means} realized means differ"
     if realized_gaps:
         line += f", largest gap {max(realized_gaps):.3g} rel"
-    line += "; "
+    cells = sum("final_errs" in want for want in recorded.values())
+    line += f"; {finals_differ} of {cells} grid cells' final errors differ; "
     mismatches = [f"{what} {n}" for what in ("stop", "rounds", "diverged")
                   if (n := sum(not g[f"same_{what}"] for g in gaps))]
     print(line + ("mismatches: " + ", ".join(mismatches) if mismatches
                   else "every stop reason, round count and diverged flag matches"))
-    return 0 if not (gaps or realized_gaps or missing) else 1
+    return 0 if not (gaps or realized_gaps or finals_differ or missing) else 1
 
 
 def main(argv=None):
