@@ -96,9 +96,9 @@ class Shard:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The eigenvalues of A^T A, ascending. Its inverse K_star is solved
-    from A when it is first read; a run reads only its norms, which the
-    eigenvalues give."""
+    """The eigenvalues of A^T A, ascending, and the A they were computed
+    from, as given. Its inverse K_star is solved from A when it is first
+    read; a run reads only its norms, which the eigenvalues give."""
 
     eigenvalues: np.ndarray
     A: np.ndarray = field(repr=False)
@@ -131,7 +131,8 @@ class Spectrum:
 
     @cached_property
     def K_star(self):
-        H = self.A.T @ self.A
+        A = np.asarray(self.A, dtype=np.float64)
+        H = A.T @ A
         return np.linalg.solve(H, np.eye(H.shape[0]))
 
 
@@ -179,28 +180,19 @@ def _number(tok, kind, line):
 
 
 def _sum_entries(entries, shape):
-    """The shape matrix holding coordinate entries, a flat list of (line,
-    i, j, value) with 1-based i and j, each cell the sum of its values in
-    list order: 0.0 + v1 + v2 + ..., as adding them one by one would.
-    Two finite values whose sum overflows are a MatrixMarketError naming
-    the line that overflowed."""
-    if not entries:
-        return np.zeros(shape)
-    n_rows, n_cols = shape
-    rows, cols = (np.array(entries[k::4], dtype=np.intp) for k in (1, 2))
-    cells = rows * n_cols + cols - (n_cols + 1)
-    # bincount adds each weight into its bin in input order
-    M = np.bincount(cells, weights=entries[3::4], minlength=n_rows * n_cols).reshape(shape)
-    if not np.isfinite(M.ravel()[cells]).all():
-        # an inf or nan in the file, or an overflow: replay the sums to tell
-        sums = {}
-        for k in range(0, len(entries), 4):
-            ln, i, j, v = entries[k:k + 4]
-            s = sums.get((i, j), 0.0)
-            sums[i, j] = t = s + v
-            if math.isinf(t) and math.isfinite(s) and math.isfinite(v):
-                raise MatrixMarketError(
-                    f"entries at ({i}, {j}) sum past the float range", ln)
+    """The shape matrix of coordinate entries, a flat list of (line, i, j,
+    value) with 1-based i and j: each cell is 0.0 + v1 + v2 + ..., its
+    values added in list order as Python floats. Finite values whose sum
+    overflows are a MatrixMarketError naming the line that overflowed."""
+    sums = {}
+    for ln, i, j, v in zip(*(entries[k::4] for k in range(4))):
+        s = sums.get((i, j), 0.0)
+        sums[i, j] = t = s + v
+        if math.isinf(t) and math.isfinite(s) and math.isfinite(v):
+            raise MatrixMarketError(f"entries at ({i}, {j}) sum past the float range", ln)
+    M = np.zeros(shape)
+    for (i, j), s in sums.items():
+        M[i - 1, j - 1] = s
     return M
 
 
@@ -470,10 +462,10 @@ def compute_spectrum(A):
     Raises RankDeficiencyError when A has no columns or A^T A is singular
     (lambda_d <= RANK_RTOL * lambda_1): A does not determine the parameters.
     """
-    A = np.asarray(A, dtype=np.float64)
-    H = A.T @ A
+    A64 = np.asarray(A, dtype=np.float64)
+    H = A64.T @ A64
     if H.size == 0:
-        raise RankDeficiencyError(f"A has no columns (shape {A.shape}): nothing to solve for")
+        raise RankDeficiencyError(f"A has no columns (shape {A64.shape}): nothing to solve for")
     eigenvalues = np.linalg.eigvalsh(H)
     lambda_d = float(eigenvalues[0])
     lambda_1 = float(eigenvalues[-1])

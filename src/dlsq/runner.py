@@ -1,8 +1,10 @@
 """Run orchestration: configuration, the iteration loop, traces, grids.
 
-A run is fully determined by its RunConfig (seed included): two runs
-with equal configs emit byte-identical CSV traces. The JSON mirror adds
-metadata that may legitimately vary (wall time, version).
+A run is fully determined by its RunConfig (seed included) and its BLAS:
+two runs with equal configs emit byte-identical CSV traces only on one
+BLAS kernel at one BLAS thread count. dlsq pins neither (perfbench and
+tools/golden.py pin one thread). The JSON mirror adds metadata that may
+legitimately vary (wall time, version).
 """
 from __future__ import annotations
 
@@ -294,10 +296,37 @@ def bound_columns(noise, bi):
     return columns
 
 
+def _problem(config, dataset=None, spectrum=None):
+    """(Dataset, Spectrum) of a config's dataset, each as given or else
+    built; a given one that the config does not describe is a ValueError."""
+    if dataset is None:
+        dataset = load_dataset(config.dataset, config.data_dir)
+    elif dataset.name != dataset_name(config.dataset):
+        raise ValueError(f"dataset is {dataset.name!r}, but the config names "
+                         f"{dataset_name(config.dataset)!r}")
+    if spectrum is None:
+        spectrum = compute_spectrum(dataset.A)
+    elif spectrum.A is not dataset.A:
+        raise ValueError("spectrum must be compute_spectrum of the dataset's A")
+    return dataset, spectrum
+
+
+def _where(a):
+    """Where a's elements lie: data pointer, shape, strides and dtype."""
+    return a.ctypes.data, a.shape, a.strides, a.dtype
+
+
 def _is_cut(shards, A, m):
-    """Whether shards are make_shards' cut of A's rows for m agents."""
-    return ([(sh.row_start, sh.row_stop) for sh in shards] == partition_rows(len(A), m)
-            and all(np.array_equal(sh.A, A[sh.row_start:sh.row_stop]) for sh in shards))
+    """Whether shards are make_shards' cut of A's rows for m agents: each
+    shard's A the very view make_shards takes of its rows, or else equal
+    to those rows."""
+    if [(sh.row_start, sh.row_stop) for sh in shards] != partition_rows(len(A), m):
+        return False
+    for sh in shards:
+        rows = A[sh.row_start:sh.row_stop]
+        if _where(sh.A) != _where(rows) and not np.array_equal(sh.A, rows):
+            return False
+    return True
 
 
 def run(config, dataset=None, spectrum=None, on_iteration=None, shards=None):
@@ -306,14 +335,15 @@ def run(config, dataset=None, spectrum=None, on_iteration=None, shards=None):
     dataset, spectrum and shards (make_shards of the dataset at config.m)
     may be passed directly to skip recomputing them across repetitions:
     the run binds its own b to the shards, so one cut serves every run on
-    the same A and m; shards cut from other rows are a ValueError.
+    the same A and m. Each must be what the config alone would build: a
+    dataset that dataset_name(config.dataset) does not name, a spectrum
+    whose A is not the dataset's A, or shards cut from other rows are a
+    ValueError, so that the trace's config re-runs it.
     on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
-    ds = dataset if dataset is not None else load_dataset(config.dataset, config.data_dir)
+    ds, spectrum = _problem(config, dataset, spectrum)
     d = ds.n_cols
-    if spectrum is None:
-        spectrum = compute_spectrum(ds.A)
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
@@ -432,10 +462,7 @@ def rep_seed(base_seed, rep):
 def run_monte_carlo(config, dataset=None, spectrum=None, shards=None):
     """config.reps independent runs over derived seeds, all on one cut of
     the dataset (shards, as run takes them; made here when not given)."""
-    if dataset is None:
-        dataset = load_dataset(config.dataset, config.data_dir)
-    if spectrum is None:
-        spectrum = compute_spectrum(dataset.A)
+    dataset, spectrum = _problem(config, dataset, spectrum)
     if shards is None:
         shards = make_shards(dataset, config.m)
     traces_first = None
@@ -515,8 +542,7 @@ def strict_json_text(obj):
 
 def trace_label(trace):
     """The config's label, else <dataset>-<method>-<noise>-s<seed>."""
-    c = trace.config
-    return c.label or f"{trace.summary['dataset']}-{c.method}-{c.noise}-s{c.seed}"
+    return _cell_label(trace.config, trace.summary["dataset"])
 
 
 def emit(trace, out_dir, basename=None):
@@ -605,12 +631,6 @@ def _trace_basename(cfg):
         return _cell_label(cfg, dataset_name(cfg.dataset))
     except ValueError:
         return None
-
-
-def _problem(cfg):
-    """(Dataset, Spectrum) of a config's dataset."""
-    ds = load_dataset(cfg.dataset, cfg.data_dir)
-    return ds, compute_spectrum(ds.A)
 
 
 def _drop_setup(shards, method):

@@ -80,6 +80,18 @@ def test_coordinate_duplicate_entries_sum():
     assert A[0, 0] == 4.0
 
 
+def test_coordinate_duplicates_sum_in_file_order():
+    # ((0 + 1e16) + 1) + -1e16 is 0.0; any other grouping of the three gives 1.0
+    A = mm("%%MatrixMarket matrix coordinate real general\n2 2 4\n1 2 1e16\n2 2 5\n1 2 1\n"
+           "1 2 -1e16\n")
+    assert A.tolist() == [[0.0, 0.0], [0.0, 5.0]]
+    # a symmetric entry is mirrored where it is listed, so both cells sum
+    # 1e16, 1, -1e16 in that order whichever side each line names
+    A = mm("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n2 1 1e16\n1 2 1\n"
+           "2 1 -1e16\n")
+    assert A.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_array_general_is_column_major():
     A = mm("""%%MatrixMarket matrix array real general
 2 3

@@ -382,12 +382,16 @@ def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
     assert all(type(getattr(as_numpy, f)) is type(v) for f, v in numeric.items())
     for c in (config, as_numpy):
         trace = run(c)
-        _, json_path = emit(trace, tmp_path, basename="t")
+        csv_path, json_path = emit(trace, tmp_path, basename="t")
         back = parse_trace(json_path)
         assert back.config == trace.config
         assert back.params == trace.params
         assert back.rows == trace.rows
         assert back.summary == trace.summary
+        # the config read back re-runs the trace, byte for byte (compared
+        # as lists of lines: pytest's diff of two long texts is quadratic)
+        assert (trace_csv_text(run(back.config)).splitlines(keepends=True)
+                == csv_path.read_text().splitlines(keepends=True))
 
 
 def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
@@ -650,6 +654,51 @@ def test_run_rejects_shards_of_another_cut():
     for shards in (make_shards(ds, 3), make_shards(other, c.m), make_shards(ds, c.m)[:-1]):
         with pytest.raises(ValueError, match="shards must be make_shards of this dataset"):
             run(c, dataset=ds, shards=shards)
+
+
+def test_view_shards_pass_the_cut_check_without_comparing_values(monkeypatch):
+    ds = load_dataset(SPEC)
+    c = cfg(method="gd", max_iters=5)
+    copies = [replace(sh, A=sh.A.copy()) for sh in make_shards(ds, c.m)]
+    compared = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *a, **kw: compared.append(a) or real(*a, **kw))
+    run(c, dataset=ds, shards=make_shards(ds, c.m))
+    run_monte_carlo(replace(c, reps=2, noise="observation", noise_level=0.05), dataset=ds)
+    assert compared == []
+    # shards holding copies of the rows are compared by value, and accepted
+    assert run(c, dataset=ds, shards=copies).rows == run(c).rows
+    assert len(compared) == c.m
+
+
+def test_run_rejects_a_dataset_or_spectrum_its_config_does_not_name():
+    # gd on synth:60,10,4,3 handed the dataset or the spectrum of
+    # synth:60,10,40,5 would write a trace that its config does not re-run
+    c = RunConfig(dataset="synth:60,10,4,3", method="gd", max_iters=50)
+    ds = load_dataset(c.dataset)
+    other = load_dataset("synth:60,10,40,5")
+    for entry in (run, run_monte_carlo):
+        with pytest.raises(ValueError, match="^dataset is 'synth-60x10-c40-s5'"):
+            entry(c, dataset=other)
+        for given in ({"dataset": ds}, {}):
+            with pytest.raises(ValueError, match="^spectrum must be compute_spectrum"):
+                entry(c, spectrum=compute_spectrum(other.A), **given)
+    assert run(c, dataset=ds, spectrum=compute_spectrum(ds.A)).rows == run(c).rows
+    # the spectrum of an integer A holds that A, so it passes with its dataset
+    st4 = load_dataset("stencil:4,4")
+    ints = replace(st4, A=st4.A.astype(np.int64))
+    trace = run(replace(c, dataset="stencil:4,4"), dataset=ints,
+                spectrum=compute_spectrum(ints.A))
+    assert trace.summary["dataset"] == "stencil-4x4"
+
+
+def test_emitted_grid_cell_reruns_to_the_same_csv(tmp_path):
+    c = RunConfig(dataset="synth:60,10,4,3", method="ipg", noise="observation",
+                  noise_level=0.05, seed=5, reps=3, max_iters=50, stop_tol=0.0, label="cell")
+    assert all(run_grid([c], out_dir=tmp_path)[0])
+    back = parse_trace(tmp_path / "cell.json")
+    assert (trace_csv_text(run(back.config)).splitlines(keepends=True)
+            == (tmp_path / "cell.csv").read_text().splitlines(keepends=True))
 
 
 def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):

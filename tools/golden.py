@@ -30,13 +30,17 @@ the set and, for every trace whose hash differs, prints the largest
 absolute err gap, the largest relative gap in the bound columns, and
 whether the stop reason, round count and diverged flags match; a
 realized mean or a grid cell's final errors whose repr differs is
-printed too. It ends with one line: how many traces differ, the largest
+printed too. ``check`` also emits every trace to a temporary directory,
+reads its config back from the JSON with ``parse_trace`` and runs that
+config again; a re-run whose CSV text differs from the trace's is
+printed. It ends with one line: how many traces differ, the largest
 err and bound gaps among them, how many realized means differ and the
 largest relative gap among them, how many grid cells' final errors
-differ, and any stop, round or diverged mismatch.
+differ, how many re-runs from the JSON config differ, and any stop,
+round or diverged mismatch.
 Then it reruns the set in a child pinned to one CPU (``--one-cpu``),
 where every round is sequential, which prints the same. It exits 0 when
-every hash and realized mean matches in both, 1 otherwise.
+every hash, realized mean and re-run matches in both, 1 otherwise.
 
 dlsq is imported from ``--src`` (default: this checkout's ``src/``), so
 a file recorded from one checkout can be checked against another. BLAS
@@ -97,15 +101,26 @@ GRID = [(method, noise) for method in ("apc", "gd", "bfgs")
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
+def _reruns(trace):
+    """Whether the config read back from trace's emitted JSON runs to the
+    same CSV text."""
+    from dlsq.runner import emit, parse_trace, run, trace_csv_text
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _, json_path = emit(trace, tmp)
+        return trace_csv_text(run(parse_trace(json_path).config)) == trace_csv_text(trace)
+
+
 def _outputs(trace, final_errs=None):
     """(trace csv text, stop reason, repr of omega_realized_mean or None,
-    repr of the final errors as a list or None)."""
+    repr of the final errors as a list or None, whether it _reruns)."""
     from dlsq.runner import trace_csv_text
 
     realized = trace.summary["noise"].get("omega_realized_mean")
     return (trace_csv_text(trace), trace.summary["stopped"],
             None if realized is None else repr(realized),
-            None if final_errs is None else repr([float(e) for e in final_errs]))
+            None if final_errs is None else repr([float(e) for e in final_errs]),
+            _reruns(trace))
 
 
 def _run(config):
@@ -129,8 +144,8 @@ def _write_mtx(path, A, form):
 
 def golden_runs():
     """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
-    or None, repr of a grid cell's final errors or None) for every run of
-    the set."""
+    or None, repr of a grid cell's final errors or None, whether the trace
+    _reruns) for every run of the set."""
     from dlsq.datasets import load_dataset
     from dlsq.runner import RunConfig, run_grid
     from dlsq.solvers import METHODS
@@ -180,7 +195,7 @@ def record():
     return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
                   "omega_realized_mean": realized,
                   **({} if finals is None else {"final_errs": finals})}
-            for key, text, stopped, realized, finals in golden_runs()}
+            for key, text, stopped, realized, finals, _ in golden_runs()}
 
 
 def _rows(text):
@@ -219,8 +234,12 @@ def compare(want, got_text, got_stopped):
 
 
 def check(recorded):
-    gaps, realized_gaps, finals_differ, missing = [], [], 0, 0
-    for key, text, stopped, realized, finals in golden_runs():
+    gaps, realized_gaps, finals_differ, missing, runs, reruns_differ = [], [], 0, 0, 0, 0
+    for key, text, stopped, realized, finals, reruns in golden_runs():
+        runs += 1
+        if not reruns:
+            reruns_differ += 1
+            print(f"{key}: its config, read back from its JSON, re-runs to other CSV bytes")
         want = recorded.get(key)
         if want is None:
             print(f"{key}: not in the recorded file")
@@ -256,12 +275,13 @@ def check(recorded):
     if realized_gaps:
         line += f", largest gap {max(realized_gaps):.3g} rel"
     cells = sum("final_errs" in want for want in recorded.values())
-    line += f"; {finals_differ} of {cells} grid cells' final errors differ; "
+    line += f"; {finals_differ} of {cells} grid cells' final errors differ"
+    line += f"; {reruns_differ} of {runs} re-runs from the JSON config differ; "
     mismatches = [f"{what} {n}" for what in ("stop", "rounds", "diverged")
                   if (n := sum(not g[f"same_{what}"] for g in gaps))]
     print(line + ("mismatches: " + ", ".join(mismatches) if mismatches
                   else "every stop reason, round count and diverged flag matches"))
-    return 0 if not (gaps or realized_gaps or finals_differ or missing) else 1
+    return 0 if not (gaps or realized_gaps or finals_differ or missing or reruns_differ) else 1
 
 
 def main(argv=None):
