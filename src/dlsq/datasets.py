@@ -39,12 +39,24 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A regression problem: observations A (n_rows x n_cols), target b = A x_star."""
+    """A regression problem: observations A (n_rows x n_cols), target b = A x_star.
+
+    A is held as a read-only view of the array given, not a copy, so
+    nothing written through it can leave prep stale."""
 
     name: str
     A: np.ndarray
     x_star: np.ndarray
     b: np.ndarray
+    # runs' set-up from A alone, by name, filled on first use; replace empties it
+    prep: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        A = np.asarray(self.A)
+        if A.flags.writeable:  # a read-only A (replace's) is kept as it is
+            A = A.view()
+            A.flags.writeable = False
+        object.__setattr__(self, "A", A)
 
     @property
     def n_rows(self):

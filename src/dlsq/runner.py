@@ -296,19 +296,17 @@ def bound_columns(noise, bi):
     return columns
 
 
-def _problem(config, dataset=None, spectrum=None):
-    """(Dataset, Spectrum) of a config's dataset, each as given or else
-    built; a given one that the config does not describe is a ValueError."""
+def _problem(config, dataset=None):
+    """(Dataset, Spectrum) of a config's dataset: the one given, which the
+    config must name, else loaded; its spectrum is kept in its prep."""
     if dataset is None:
         dataset = load_dataset(config.dataset, config.data_dir)
     elif dataset.name != dataset_name(config.dataset):
         raise ValueError(f"dataset is {dataset.name!r}, but the config names "
                          f"{dataset_name(config.dataset)!r}")
-    if spectrum is None:
-        spectrum = compute_spectrum(dataset.A)
-    elif spectrum.A is not dataset.A:
-        raise ValueError("spectrum must be compute_spectrum of the dataset's A")
-    return dataset, spectrum
+    if "spectrum" not in dataset.prep:
+        dataset.prep["spectrum"] = compute_spectrum(dataset.A)
+    return dataset, dataset.prep["spectrum"]
 
 
 def _where(a):
@@ -329,20 +327,19 @@ def _is_cut(shards, A, m):
     return True
 
 
-def run(config, dataset=None, spectrum=None, on_iteration=None, shards=None):
+def run(config, dataset=None, on_iteration=None, shards=None):
     """Execute one run (config.seed) and return its RunTrace.
 
-    dataset, spectrum and shards (make_shards of the dataset at config.m)
-    may be passed directly to skip recomputing them across repetitions:
-    the run binds its own b to the shards, so one cut serves every run on
-    the same A and m. Each must be what the config alone would build: a
-    dataset that dataset_name(config.dataset) does not name, a spectrum
-    whose A is not the dataset's A, or shards cut from other rows are a
-    ValueError, so that the trace's config re-runs it.
+    dataset and shards (make_shards of the dataset at config.m) may be
+    passed to skip rebuilding them across runs: a Dataset's spectrum is
+    computed on its first run, and the run binds its own b to the shards,
+    so one cut serves every run on the same A and m. A dataset that
+    dataset_name(config.dataset) does not name, or shards cut from other
+    rows, are a ValueError, so that the trace's config re-runs it.
     on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
-    ds, spectrum = _problem(config, dataset, spectrum)
+    ds, spectrum = _problem(config, dataset)
     d = ds.n_cols
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
@@ -459,10 +456,10 @@ def rep_seed(base_seed, rep):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_monte_carlo(config, dataset=None, spectrum=None, shards=None):
-    """config.reps independent runs over derived seeds, all on one cut of
-    the dataset (shards, as run takes them; made here when not given)."""
-    dataset, spectrum = _problem(config, dataset, spectrum)
+def run_monte_carlo(config, dataset=None, shards=None):
+    """config.reps independent runs over derived seeds, all on one dataset
+    and one cut of it (each as run takes it; built here when not given)."""
+    dataset, _ = _problem(config, dataset)
     if shards is None:
         shards = make_shards(dataset, config.m)
     traces_first = None
@@ -470,7 +467,7 @@ def run_monte_carlo(config, dataset=None, spectrum=None, shards=None):
     summaries = []
     for r in range(config.reps):
         cfg_r = replace(config, seed=rep_seed(config.seed, r), reps=1)
-        trace = run(cfg_r, dataset=dataset, spectrum=spectrum, shards=shards)
+        trace = run(cfg_r, dataset=dataset, shards=shards)
         if r == 0:
             traces_first = trace
         finals.append(trace.final_err)
@@ -613,7 +610,7 @@ def load_grid_config(path):
 
 GRID_COLUMNS = ("label", "dataset", "method", "noise", "seed", "reps",
                 "final_err", "final_err_mean", "final_err_std",
-                "iterations", "stopped", "diverged_at", "error")
+                "iterations", "stopped", "diverged_at", "diverged_reps", "error")
 
 
 def _cell_label(cfg, dataset=None):
@@ -646,9 +643,11 @@ def run_grid(configs, out_dir=None, emit_traces=True):
     grid summary CSV. Raises ValueError, before any cell runs, when two
     cells would write the same trace files.
 
-    A dataset is loaded, and cut for each m, once: its cells share the
-    cut and each method's set-up on it (Shard.prep). Each is dropped right
-    after the last cell that uses it."""
+    A dataset is loaded, and cut for each m, once: its cells share its
+    spectrum (Dataset.prep), the cut and each method's set-up on it
+    (Shard.prep). Each is dropped right after the last cell that uses it.
+    A row's stopped and diverged_at are rep 0's; diverged_reps counts the
+    reps that diverged."""
     if out_dir is not None and emit_traces:
         seen = {}
         for j, label in enumerate(map(_trace_basename, configs)):
@@ -661,7 +660,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         last[key] = last[key, cfg.m] = last[key, cfg.m, cfg.method] = j
     results = []
     summary_rows = []
-    problems = {}  # dataset -> (Dataset, Spectrum)
+    problems = {}  # dataset -> Dataset
     cuts = {}  # (dataset, m) -> shards
     for j, cfg in enumerate(configs):
         row = {c: "" for c in GRID_COLUMNS}
@@ -670,10 +669,10 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         key = (cfg.dataset, cfg.data_dir)
         try:
             if key not in problems:
-                problems[key] = _problem(cfg)
+                problems[key], _ = _problem(cfg)
             if (key, cfg.m) not in cuts:
-                cuts[key, cfg.m] = make_shards(problems[key][0], cfg.m)
-            mc = run_monte_carlo(cfg, *problems[key], shards=cuts[key, cfg.m])
+                cuts[key, cfg.m] = make_shards(problems[key], cfg.m)
+            mc = run_monte_carlo(cfg, problems[key], shards=cuts[key, cfg.m])
             first = mc.first_trace
             row.update(
                 label=trace_label(first),
@@ -683,6 +682,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
                 iterations=first.summary["iterations"],
                 stopped=first.summary["stopped"],
                 diverged_at=first.summary["diverged_at"],
+                diverged_reps=sum(s["diverged"] for s in mc.summaries),
             )
             if out_dir is not None and emit_traces:
                 emit(first, out_dir)

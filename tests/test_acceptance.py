@@ -82,7 +82,7 @@ def test_c1_noise_free_convergence():
             if method == "ipg":
                 hook = lambda state, row: k_gap.append(
                     float(np.linalg.norm(state.K - sp.K_star, "fro")))
-            trace = run(cfg, dataset=ds, spectrum=sp, on_iteration=hook)
+            trace = run(cfg, dataset=ds, on_iteration=hook)
             tag = f"{ds.name}/{method}"
             if trace.summary["stopped"] != "stoprule":
                 failures.append(f"{tag} ended by {trace.summary['stopped']}")
@@ -113,11 +113,10 @@ def test_c2_observation_noise_error_table():
     failures = []
     means = {}
     for ds in datasets:
-        sp = compute_spectrum(ds.A)
         for method in METHODS:
             cfg = RunConfig(dataset=ds.name, method=method,
                             noise="observation", seed=20240817, reps=reps)
-            mc = run_monte_carlo(cfg, dataset=ds, spectrum=sp)
+            mc = run_monte_carlo(cfg, dataset=ds)
             means[(ds.name, method)] = float(np.mean(mc.final_errs))
     for method, ref in reference.items():
         got = means[("ash608", method)]
@@ -185,8 +184,7 @@ def test_c4_one_step_observation_bound():
                     noise_level=half_width, stop_tol=0.0, max_iters=horizon)
     errs = np.empty((reps, horizon + 1))
     for r in range(reps):
-        trace = run(replace(cfg, seed=rep_seed(cfg.seed, r)),
-                    dataset=ds, spectrum=sp)
+        trace = run(replace(cfg, seed=rep_seed(cfg.seed, r)), dataset=ds)
         errs[r] = trace.errors()
     bi = bound_inputs_from(sp, m=m, d=d, alpha=alpha, delta=1.0, eta=eta)
     violations = []
@@ -225,8 +223,7 @@ def test_c5_trajectory_process_bound():
     errs = np.empty((reps, horizon + 1))
     omega = None
     for r in range(reps):
-        trace = run(replace(cfg, seed=rep_seed(cfg.seed, r)),
-                    dataset=ds, spectrum=sp)
+        trace = run(replace(cfg, seed=rep_seed(cfg.seed, r)), dataset=ds)
         errs[r] = trace.errors()
         omega = trace.summary["noise"]["omega"]
     z0 = float(np.linalg.norm(ds.x_star))  # run starts at the origin
@@ -256,7 +253,6 @@ def test_c6_structural_identities():
     name = "C6 structural identities"
     spec = "synth:60,10,4.0,3"
     ds = load_dataset(spec)
-    sp = compute_spectrum(ds.A)
     shards = make_shards(ds, 5)
     d = ds.A.shape[1]
     failures = []
@@ -307,8 +303,8 @@ def test_c6_structural_identities():
         cfg = RunConfig(dataset=spec, method=method, noise=noise, seed=123,
                         m=5, max_iters=60, stop_tol=0.0, noise_level=0.05,
                         process_kind="roundoff")
-        t1 = run(cfg, dataset=ds, spectrum=sp)
-        t2 = run(cfg, dataset=ds, spectrum=sp)
+        t1 = run(cfg, dataset=ds)
+        t2 = run(cfg, dataset=ds)
         if trace_csv_text(t1) != trace_csv_text(t2):
             failures.append(f"{noise} rerun changed the csv trace")
         o1, o2 = trace_json_obj(t1), trace_json_obj(t2)

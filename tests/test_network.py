@@ -374,7 +374,6 @@ def test_row_split_server_equals_sequential_server_bit_for_bit(use_helpers, monk
                                                                noise_kind):
     name = "stencil:30,30"
     ds = _problem(name)
-    sp = compute_spectrum(ds.A)
     config = RunConfig(name, "ipg", m=10, alpha=ABOVE_THRESHOLD[name], max_iters=3,
                        stop_tol=0.0, noise="process", process_kind=noise_kind,
                        process_low=-1e-4, noise_level=2e-4)
@@ -384,7 +383,7 @@ def test_row_split_server_equals_sequential_server_bit_for_bit(use_helpers, monk
         use_helpers(on)
         noted.clear()
         states = []
-        trace = run(config, dataset=ds, spectrum=sp,
+        trace = run(config, dataset=ds,
                     on_iteration=lambda state, row: states.append((state.x.copy(),
                                                                    state.K.copy())))
         summary = {k: v for k, v in trace.summary.items() if k != "wall_time_s"}

@@ -550,14 +550,13 @@ def test_grid_rejects_datasets_that_load_under_one_name(tmp_path):
 def test_runs_never_form_k_star(tmp_path, monkeypatch):
     # a run reads K_star only through its norms, which the eigenvalues give
     ds = load_dataset(SPEC)
-    sp = compute_spectrum(ds.A)
     noises = ({}, {"noise": "observation", "noise_level": 0.05},
               {"noise": "process", "process_kind": "roundoff"},
               {"noise": "process", "process_kind": "uniform", "noise_level": 1e-4})
     for method in ("ipg", "gd"):
         for noise in noises:
-            run(cfg(method=method, max_iters=5, **noise), dataset=ds, spectrum=sp)
-    run_monte_carlo(cfg(reps=2, max_iters=5, **noises[1]), dataset=ds, spectrum=sp)
+            run(cfg(method=method, max_iters=5, **noise), dataset=ds)
+    run_monte_carlo(cfg(reps=2, max_iters=5, **noises[1]), dataset=ds)
     made = []
 
     def recorded(A):
@@ -568,7 +567,62 @@ def test_runs_never_form_k_star(tmp_path, monkeypatch):
     run_grid([cfg(max_iters=5, **noise) for noise in noises[1:3]], out_dir=tmp_path)
     run(cfg(max_iters=5, **noises[2]))
     assert len(made) == 2
-    assert all("K_star" not in vars(s) for s in (sp, *made))
+    assert all("K_star" not in vars(s) for s in (ds.prep["spectrum"], *made))
+
+
+def _count_spectra(monkeypatch):
+    """The A of every spectrum the runner computes from here on."""
+    computed = []
+    real = runner.compute_spectrum
+    monkeypatch.setattr(runner, "compute_spectrum", lambda A: computed.append(A) or real(A))
+    return computed
+
+
+def test_a_dataset_computes_its_spectrum_once(monkeypatch):
+    computed = _count_spectra(monkeypatch)
+    c = cfg(max_iters=30, stop_tol=0.0)
+    mc_config = replace(c, noise="observation", noise_level=0.05, reps=3)
+
+    def runs(ds):
+        return (run(c, dataset=ds), run(replace(c, method="gd"), dataset=ds),
+                run_monte_carlo(mc_config, dataset=ds))
+
+    ds = load_dataset(SPEC)
+    *traces, mc = runs(ds)
+    assert len(computed) == 1 and computed[0] is ds.A
+    *fresh_traces, fresh_mc = runs(load_dataset(SPEC))
+    assert len(computed) == 2
+    for got, want in zip([*traces, mc.first_trace], [*fresh_traces, fresh_mc.first_trace]):
+        assert trace_csv_text(got) == trace_csv_text(want)
+    assert mc.final_errs.tolist() == fresh_mc.final_errs.tolist()
+
+
+def test_dataset_a_is_read_only_and_a_replaced_a_has_its_own_spectrum(monkeypatch):
+    ds = load_dataset(SPEC)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.A[0, 0] = 1.0
+    computed = _count_spectra(monkeypatch)
+    run(cfg(max_iters=5), dataset=ds)
+    scaled = replace(ds, A=2.0 * ds.A)
+    assert scaled.prep == {}
+    trace = run(cfg(max_iters=5), dataset=scaled)
+    assert len(computed) == 2 and computed[0] is ds.A and computed[1] is scaled.A
+    assert trace.summary["spectrum"]["lambda_1"] == pytest.approx(
+        4.0 * ds.prep["spectrum"].lambda_1)
+
+
+def test_grid_rows_count_the_reps_that_diverge(tmp_path):
+    # bfgs under heavy uniform process noise on SPEC diverges at round 122,
+    # 147 and 132 in reps 0, 1 and 2: 140 rounds see two of them diverge
+    c = cfg(method="bfgs", noise="process", process_kind="uniform", process_low=-0.1,
+            noise_level=0.2, reps=3, max_iters=140, stop_tol=0.0)
+    results, rows = run_grid([c, replace(c, max_iters=100, label="short")], out_dir=tmp_path)
+    assert [s["diverged_at"] for s in results[0].summaries] == [122, None, 132]
+    assert [(r["stopped"], r["diverged_at"], r["diverged_reps"]) for r in rows] == [
+        ("diverged", 122, 2), ("maxiter", None, 0)]
+    header, *lines = (tmp_path / "grid_summary.csv").read_text().splitlines()
+    column = header.split(",").index("diverged_reps")
+    assert [line.split(",")[column] for line in lines] == ["2", "0"]
 
 
 GRID_NOISES = (dict(noise="none"), dict(noise="observation", noise_level=0.05, reps=3),
@@ -672,23 +726,19 @@ def test_view_shards_pass_the_cut_check_without_comparing_values(monkeypatch):
 
 
 def test_run_rejects_a_dataset_or_spectrum_its_config_does_not_name():
-    # gd on synth:60,10,4,3 handed the dataset or the spectrum of
-    # synth:60,10,40,5 would write a trace that its config does not re-run
+    # gd on synth:60,10,4,3 handed the dataset of synth:60,10,40,5 would
+    # write a trace that its config does not re-run
     c = RunConfig(dataset="synth:60,10,4,3", method="gd", max_iters=50)
     ds = load_dataset(c.dataset)
     other = load_dataset("synth:60,10,40,5")
     for entry in (run, run_monte_carlo):
         with pytest.raises(ValueError, match="^dataset is 'synth-60x10-c40-s5'"):
             entry(c, dataset=other)
-        for given in ({"dataset": ds}, {}):
-            with pytest.raises(ValueError, match="^spectrum must be compute_spectrum"):
-                entry(c, spectrum=compute_spectrum(other.A), **given)
-    assert run(c, dataset=ds, spectrum=compute_spectrum(ds.A)).rows == run(c).rows
-    # the spectrum of an integer A holds that A, so it passes with its dataset
+    assert run(c, dataset=ds).rows == run(c).rows
+    # an integer A passes with its dataset
     st4 = load_dataset("stencil:4,4")
     ints = replace(st4, A=st4.A.astype(np.int64))
-    trace = run(replace(c, dataset="stencil:4,4"), dataset=ints,
-                spectrum=compute_spectrum(ints.A))
+    trace = run(replace(c, dataset="stencil:4,4"), dataset=ints)
     assert trace.summary["dataset"] == "stencil-4x4"
 
 
@@ -763,12 +813,11 @@ def test_apc_realized_noise_does_not_depend_on_thread_timing(use_helpers):
     # apc agents corrupt their own iterates, from helper threads when the
     # round is concurrent: 4 agents of 10000 x 100 estimate 2 MFLOP each
     ds = load_dataset("synth:40000,100,10,3")
-    sp = compute_spectrum(ds.A)
     config = RunConfig(ds.name, "apc", m=4, noise="process", process_kind="uniform",
                        process_low=-1e-4, noise_level=2e-4, max_iters=30, stop_tol=0.0)
-    traces = [run(config, dataset=ds, spectrum=sp) for _ in range(2)]
+    traces = [run(config, dataset=ds) for _ in range(2)]
     use_helpers(False)
-    traces.append(run(config, dataset=ds, spectrum=sp))
+    traces.append(run(config, dataset=ds))
     first = without_wall_time(traces[0].summary)
     assert first["noise"]["omega_realized_mean"] > 0
     for trace in traces[1:]:
@@ -866,12 +915,11 @@ def test_realized_noise_mean_equals_the_fresh_corruption_formula(use_helpers, mo
                        process_kind=kind, process_low=-1e-4, noise_level=2e-4,
                        **({"alpha": 0.007} if dataset.startswith("stencil") else {}))
     ds = load_dataset(dataset)
-    sp = compute_spectrum(ds.A)
-    got = run(config, dataset=ds, spectrum=sp)
+    got = run(config, dataset=ds)
     refs = {}
     for recorder in (_FreshRecorder, _ByRowsRecorder):
         monkeypatch.setattr(runner, "_RecordingProcessNoise", recorder)
-        refs[recorder] = run(config, dataset=ds, spectrum=sp)
+        refs[recorder] = run(config, dataset=ds)
     fresh, by_rows = refs.values()
     mean = got.summary["noise"]["omega_realized_mean"]
     assert mean > 0

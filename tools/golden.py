@@ -33,11 +33,15 @@ realized mean or a grid cell's final errors whose repr differs is
 printed too. ``check`` also emits every trace to a temporary directory,
 reads its config back from the JSON with ``parse_trace`` and runs that
 config again; a re-run whose CSV text differs from the trace's is
-printed. It ends with one line: how many traces differ, the largest
-err and bound gaps among them, how many realized means differ and the
-largest relative gap among them, how many grid cells' final errors
-differ, how many re-runs from the JSON config differ, and any stop,
-round or diverged mismatch.
+printed. It also runs every trace's config once more on one Dataset
+object shared by all the configs that name its dataset, so that every
+run on it after the first reads the spectrum the first one computed; a
+shared re-run whose CSV text differs is printed too. It ends with one
+line: how many traces differ, the largest err and bound gaps among
+them, how many realized means differ and the largest relative gap among
+them, how many grid cells' final errors differ, how many re-runs from
+the JSON config and how many shared re-runs differ, and any stop, round
+or diverged mismatch.
 Then it reruns the set in a child pinned to one CPU (``--one-cpu``),
 where every round is sequential, which prints the same. It exits 0 when
 every hash, realized mean and re-run matches in both, 1 otherwise.
@@ -111,22 +115,36 @@ def _reruns(trace):
         return trace_csv_text(run(parse_trace(json_path).config)) == trace_csv_text(trace)
 
 
-def _outputs(trace, final_errs=None):
+def _reruns_shared(trace, shared):
+    """Whether trace's config runs to the same CSV text on the Dataset
+    that shared, a dict, holds for its dataset (loaded there on first use)."""
+    from dlsq.datasets import load_dataset
+    from dlsq.runner import run, trace_csv_text
+
+    config = trace.config
+    key = (config.dataset, config.data_dir)
+    if key not in shared:
+        shared[key] = load_dataset(config.dataset, config.data_dir)
+    return trace_csv_text(run(config, dataset=shared[key])) == trace_csv_text(trace)
+
+
+def _outputs(trace, shared, final_errs=None):
     """(trace csv text, stop reason, repr of omega_realized_mean or None,
-    repr of the final errors as a list or None, whether it _reruns)."""
+    repr of the final errors as a list or None, whether it _reruns,
+    whether it _reruns_shared)."""
     from dlsq.runner import trace_csv_text
 
     realized = trace.summary["noise"].get("omega_realized_mean")
     return (trace_csv_text(trace), trace.summary["stopped"],
             None if realized is None else repr(realized),
             None if final_errs is None else repr([float(e) for e in final_errs]),
-            _reruns(trace))
+            _reruns(trace), _reruns_shared(trace, shared))
 
 
-def _run(config):
+def _run(config, shared):
     from dlsq.runner import run
 
-    return _outputs(run(config))
+    return _outputs(run(config), shared)
 
 
 def _write_mtx(path, A, form):
@@ -145,10 +163,12 @@ def _write_mtx(path, A, form):
 def golden_runs():
     """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
     or None, repr of a grid cell's final errors or None, whether the trace
-    _reruns) for every run of the set."""
+    _reruns, whether it _reruns_shared) for every run of the set."""
     from dlsq.datasets import load_dataset
     from dlsq.runner import RunConfig, run_grid
     from dlsq.solvers import METHODS
+
+    shared = {}  # (dataset, data_dir) -> the Dataset every shared re-run on it uses
 
     for dataset in DATASETS:
         for method in METHODS:
@@ -156,18 +176,18 @@ def golden_runs():
                 for seed in SEEDS:
                     yield (f"{dataset}/{method}/{noise}/s{seed}",
                            *_run(RunConfig(dataset=dataset, method=method, seed=seed, m=10,
-                                           max_iters=300, stop_tol=0.0, **extra)))
+                                           max_iters=300, stop_tol=0.0, **extra), shared))
     for name, extra in DIVERGING.items():
         for seed in SEEDS:
             yield (f"{DATASETS[0]}/m5/{name}/s{seed}",
                    *_run(RunConfig(dataset=DATASETS[0], seed=seed, m=5, max_iters=300,
-                                   stop_tol=0.0, **extra)))
+                                   stop_tol=0.0, **extra), shared))
     for key, extra in CONCURRENT.items():
         yield key, *_run(RunConfig(method="ipg", seed=0, m=10, max_iters=30, stop_tol=0.0,
-                                   **extra))
+                                   **extra), shared)
     for key, extra in NARROW_SPANS.items():
         yield key, *_run(RunConfig(dataset="stencil:30,30", seed=0, m=5, max_iters=30,
-                                   stop_tol=0.0, **extra))
+                                   stop_tol=0.0, **extra), shared)
     A = load_dataset("stencil:12,12").A.tolist()
     with tempfile.TemporaryDirectory() as tmp:
         for form in MTX_FORMS:
@@ -175,7 +195,7 @@ def golden_runs():
             _write_mtx(path, A, form)
             yield (f"mtx:{form.replace(' ', '-')}/stencil:12,12/m5/ipg/none/s0",
                    *_run(RunConfig(dataset=str(path), method="ipg", seed=0, m=5, max_iters=30,
-                                   stop_tol=0.0)))
+                                   stop_tol=0.0), shared))
     results, rows = run_grid([
         RunConfig(dataset=DATASETS[0], method=method, seed=0, m=10, max_iters=300, stop_tol=0.0,
                   reps=3 if noise == "observation" else 1, **NOISES[noise])
@@ -184,7 +204,7 @@ def golden_runs():
         if mc is None:
             raise RuntimeError(f"grid cell {method}/{noise} failed: {row['error']}")
         yield (f"grid:{DATASETS[0]}/{method}/{noise}/s0",
-               *_outputs(mc.first_trace, mc.final_errs))
+               *_outputs(mc.first_trace, shared, mc.final_errs))
 
 
 def _sha256(text):
@@ -195,7 +215,7 @@ def record():
     return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
                   "omega_realized_mean": realized,
                   **({} if finals is None else {"final_errs": finals})}
-            for key, text, stopped, realized, finals, _ in golden_runs()}
+            for key, text, stopped, realized, finals, *_ in golden_runs()}
 
 
 def _rows(text):
@@ -234,12 +254,16 @@ def compare(want, got_text, got_stopped):
 
 
 def check(recorded):
-    gaps, realized_gaps, finals_differ, missing, runs, reruns_differ = [], [], 0, 0, 0, 0
-    for key, text, stopped, realized, finals, reruns in golden_runs():
+    gaps, realized_gaps, finals_differ, missing, runs = [], [], 0, 0, 0
+    reruns_differ = shared_differ = 0
+    for key, text, stopped, realized, finals, reruns, shares in golden_runs():
         runs += 1
         if not reruns:
             reruns_differ += 1
             print(f"{key}: its config, read back from its JSON, re-runs to other CSV bytes")
+        if not shares:
+            shared_differ += 1
+            print(f"{key}: its config, run on a shared Dataset, gives other CSV bytes")
         want = recorded.get(key)
         if want is None:
             print(f"{key}: not in the recorded file")
@@ -276,12 +300,14 @@ def check(recorded):
         line += f", largest gap {max(realized_gaps):.3g} rel"
     cells = sum("final_errs" in want for want in recorded.values())
     line += f"; {finals_differ} of {cells} grid cells' final errors differ"
-    line += f"; {reruns_differ} of {runs} re-runs from the JSON config differ; "
+    line += f"; {reruns_differ} of {runs} re-runs from the JSON config differ"
+    line += f"; {shared_differ} of {runs} re-runs on a shared Dataset differ; "
     mismatches = [f"{what} {n}" for what in ("stop", "rounds", "diverged")
                   if (n := sum(not g[f"same_{what}"] for g in gaps))]
     print(line + ("mismatches: " + ", ".join(mismatches) if mismatches
                   else "every stop reason, round count and diverged flag matches"))
-    return 0 if not (gaps or realized_gaps or finals_differ or missing or reruns_differ) else 1
+    differ = gaps or realized_gaps or finals_differ or missing or reruns_differ or shared_differ
+    return 1 if differ else 0
 
 
 def main(argv=None):
