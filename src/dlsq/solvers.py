@@ -63,15 +63,42 @@ def agent_r_matrix(shard, K, m, gram=None):
     unsliced arrays, so the products round exactly as before. With the
     agent's local Gram block (local_gram) it is gram K[cols], the same sum
     in another order.
+
+    Either product is taken over K[cols]'s column window (nonzero_columns)
+    alone, written into the window of a fresh block whose other columns are
+    +0. A dense K's window is every column, and its products keep their
+    bits. A narrower window changes how BLAS splits the product, so the
+    window's columns may move by last-bit round-off: within 1e-12 max|R|,
+    which tests/test_solvers.py checks on both routes.
     """
     c = shard.cols
+    Kc = K[c]
+    lo, hi = nonzero_columns(Kc)
+    R = np.empty(Kc.shape)
+    R[:, :lo] = 0.0
+    R[:, hi:] = 0.0
+    W = Kc[:, lo:hi]
     if gram is None:
-        R = np.dot(shard.AT, np.dot(shard.A[:, c], K[c]))
+        np.matmul(shard.AT, np.matmul(shard.A[:, c], W), out=R[:, lo:hi])
     else:
-        R = np.dot(gram, K[c])
+        np.matmul(gram, W, out=R[:, lo:hi])
     # subtract I/m on the block's diagonal without allocating an identity
     R.ravel()[c.start :: R.shape[1] + 1] -= 1.0 / m
     return R
+
+
+def nonzero_columns(B):
+    """(lo, hi): the narrowest column window of B that holds every entry
+    != 0 (nan included), (0, 0) when there is none. When both corner
+    entries are nonzero the window is every column, read without a scan."""
+    width = B.shape[1]
+    if len(B) and B[0, 0] != 0 and B[-1, -1] != 0:
+        return 0, width
+    nz = (B != 0).any(axis=0)
+    lo = int(nz.argmax())
+    if not nz[lo]:
+        return 0, 0
+    return lo, width - int(nz[::-1].argmax())
 
 
 def gradient_agent(bc, shard, ast):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlsq.analysis import estimation_error
-from dlsq.datasets import Dataset, compute_spectrum, load_dataset, make_shards, synthesize_problem
+from dlsq.datasets import (Dataset, Shard, compute_spectrum, load_dataset, make_shards,
+                           synthesize_problem)
 from dlsq.network import execute_round
 from dlsq.noise import (
     NoProcessNoise,
@@ -30,6 +31,7 @@ from dlsq.solvers import (
     left_out_diagonal,
     local_gram,
     make_solver,
+    nonzero_columns,
     rounds,
     run_rounds,
 )
@@ -200,6 +202,109 @@ def test_gram_route_on_random_sparse_bands(d, rows_per_col, band, density, m_fra
             two = agent_r_matrix(sh, K, m)
             np.testing.assert_allclose(agent_r_matrix(sh, K, m, gram), two, rtol=0,
                                        atol=1e-12 * np.abs(two).max(initial=0.0))
+
+
+# -- column window of K ---------------------------------------------------------
+
+
+def parent_r_matrix(shard, K, m, gram=None):
+    """R_i from the full-width products np.dot(gram, K[cols]) or
+    np.dot(AT, np.dot(A[:, cols], K[cols])), with no window."""
+    c = shard.cols
+    if gram is None:
+        R = np.dot(shard.AT, np.dot(shard.A[:, c], K[c]))
+    else:
+        R = np.dot(gram, K[c])
+    R.ravel()[c.start :: R.shape[1] + 1] -= 1.0 / m
+    return R
+
+
+def only_diagonal(shard, d, m):
+    """The block of zeros with -1/m on the span's diagonal."""
+    c = shard.cols
+    E = np.zeros((c.stop - c.start, d))
+    E.ravel()[c.start :: d + 1] -= 1.0 / m
+    return E
+
+
+def span_shard(d, n, lo, hi, rng):
+    """One agent's n rows, random on columns lo:hi and zero elsewhere."""
+    A = np.zeros((n, d))
+    A[:, lo:hi] = rng.standard_normal((n, hi - lo))
+    return Shard(agent_id=0, row_start=0, row_stop=n, A=A, b=np.zeros(n), cols=slice(lo, hi))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(d=st.integers(1, 60), n=st.integers(1, 40),
+       span=st.sampled_from(["empty", "narrow", "full"]), blocks=st.integers(0, 4),
+       m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_windowed_residual_matches_the_full_product(d, n, span, blocks, m, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = {"empty": (0, 0), "full": (0, d)}.get(span, sorted(rng.integers(0, d + 1, 2)))
+    sh = span_shard(d, n, lo, hi, rng)
+    # K with random column blocks zeroed, the edges included at random
+    K = rng.standard_normal((d, d))
+    for _ in range(blocks):
+        a, b = sorted(rng.integers(0, d + 1, 2))
+        K[:, a:b] = 0.0
+    nz = np.flatnonzero((K[sh.cols] != 0).any(axis=0))
+    w_lo, w_hi = (nz[0], nz[-1] + 1) if len(nz) else (0, 0)
+    outside = np.ones(d, dtype=bool)
+    outside[w_lo:w_hi] = False
+    for gram in (None, gram_block(sh)):
+        R = agent_r_matrix(sh, K, m, gram)
+        want = parent_r_matrix(sh, K, m, gram)
+        np.testing.assert_allclose(R, want, rtol=0, atol=1e-12 * np.abs(want).max(initial=0.0))
+        # outside the window: +0, not -0, except the -1/m diagonal
+        assert R[:, outside].tobytes() == only_diagonal(sh, d, m)[:, outside].tobytes()
+
+
+@pytest.mark.parametrize("name, m", [("stencil:8,8", 4), ("stencil:30,30", 20),
+                                     ("synth:60,10,4,3", 5)])
+def test_zero_preconditioner_gives_only_the_diagonal(name, m):
+    ds = load_dataset(name)
+    d = ds.n_cols
+    K = np.zeros((d, d))
+    for sh in make_shards(ds, m):
+        for gram in (None, gram_block(sh)):
+            assert agent_r_matrix(sh, K, m, gram).tobytes() == only_diagonal(sh, d, m).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_far_outside_the_band_reaches_the_residual(bad):
+    ds = load_dataset("stencil:30,30")
+    d, m = ds.n_cols, 20
+    sh = make_shards(ds, m)[0]
+    c = sh.cols
+    # K nonzero only on the span's own columns, and one entry far beyond them
+    K = np.zeros((d, d))
+    K[c, c] = np.random.default_rng(1).standard_normal((c.stop - c.start,) * 2)
+    far = d - 3
+    assert far >= 2 * c.stop
+    K[c.start + 1, far] = bad
+    assert nonzero_columns(K[c]) == (c.start, far + 1)
+    for gram in (None, gram_block(sh)):
+        R = agent_r_matrix(sh, K, m, gram)
+        want = parent_r_matrix(sh, K, m, gram)
+        assert np.array_equal(np.isnan(R), np.isnan(want))
+        assert np.array_equal(np.isinf(R), np.isinf(want))
+        assert not np.isfinite(R[:, far]).all()
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(R[finite], want[finite], rtol=0,
+                                   atol=1e-12 * np.abs(want[finite]).max())
+
+
+@pytest.mark.parametrize("name", ["stencil:30,30", "stencil:12,12", "synth:608,188,10,3",
+                                  "ash-like"])
+@pytest.mark.parametrize("m", [1, 5, 20])
+def test_dense_preconditioner_keeps_the_full_products_bits(name, m):
+    ds = _ash_like() if name == "ash-like" else load_dataset(name)
+    d = ds.n_cols
+    K = np.random.default_rng(m).standard_normal((d, d))
+    for sh in make_shards(ds, m):
+        for gram in (None, gram_block(sh)):
+            want = parent_r_matrix(sh, K, m, gram)
+            assert agent_r_matrix(sh, K, m, gram).tobytes() == want.tobytes()
 
 
 def test_local_gram_only_where_it_saves_flops():

@@ -1,4 +1,4 @@
-"""The golden gate: 122 fixed runs whose traces a change should keep.
+"""The golden gate: 123 fixed runs whose traces a change should keep.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR] [--one-cpu]
@@ -15,7 +15,10 @@ noise, whose d x d K is also updated, corrupted and recorded by rows on
 every CPU; seed 0, 30 rounds, m=10), plus gd and ipg on stencil:30,30
 with m=5 and no noise (NARROW_SPANS; seed 0, 30 rounds), whose agents
 reply over column spans narrow enough that a change to the span products
-shows in the err column, plus ipg on stencil:12,12's matrix read back
+shows in the err column, plus ipg on stencil:30,30 with m=20 under
+round-off (SPARSE_K; seed 0, 100 rounds), whose agents multiply a column
+window of K narrower than d on every round, so a product that drops a
+nonzero column of K shows, plus ipg on stencil:12,12's matrix read back
 from a Matrix Market file, once per form in MTX_FORMS (m=5, seed 0, 30
 rounds, no noise), so a change to the parser shows, plus the nine cells
 of one ``run_grid`` call (GRID: apc, gd and bfgs x none / observation
@@ -97,6 +100,10 @@ CONCURRENT = {
 # match the full-width one bit for bit
 NARROW_SPANS = {f"stencil:30,30/m5/{method}/none/s0": {"method": method}
                 for method in ("gd", "ipg")}
+# under round-off each m=20 agent's rows of stencil:30,30's K hold their
+# nonzeros in a column window narrower than d on every round, so a product
+# that drops a nonzero column of K shows
+SPARSE_K = "stencil:30,30/m20/ipg/roundoff/s0"
 # the files are written to a temporary directory and named by form alone,
 # so neither the keys nor the traces hold its path
 MTX_FORMS = ("coordinate real symmetric", "array real general")
@@ -188,6 +195,8 @@ def golden_runs():
     for key, extra in NARROW_SPANS.items():
         yield key, *_run(RunConfig(dataset="stencil:30,30", seed=0, m=5, max_iters=30,
                                    stop_tol=0.0, **extra), shared)
+    yield SPARSE_K, *_run(RunConfig(dataset="stencil:30,30", method="ipg", seed=0, m=20,
+                                    max_iters=100, stop_tol=0.0, **NOISES["roundoff"]), shared)
     A = load_dataset("stencil:12,12").A.tolist()
     with tempfile.TemporaryDirectory() as tmp:
         for form in MTX_FORMS:
