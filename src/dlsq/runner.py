@@ -8,7 +8,6 @@ legitimately vary (wall time, version).
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -439,8 +438,6 @@ class MonteCarloResult:
     first_trace: RunTrace
     final_errs: np.ndarray
     summaries: list
-    # how many reps are copies of rep 0 (all but rep 0 for seed-free noise)
-    copies: int = 0
 
     @property
     def mean(self):
@@ -461,32 +458,22 @@ def rep_seed(base_seed, rep):
 
 def run_monte_carlo(config, dataset=None, shards=None):
     """config.reps independent runs over derived seeds, all on one dataset
-    and one cut of it (each as run takes it; built here when not given).
-
-    A run reads its seed only through its noise models. When they draw
-    nothing (no observation noise; no or round-off process noise) every
-    rep repeats rep 0 bit for bit, so rep 0 runs once and reps 1.. are
-    copies of its summary, each with its own seed and wall_time_s."""
+    and one cut of it (each as run takes it; built here when not given)."""
     dataset, _ = _problem(config, dataset)
     if shards is None:
         shards = make_shards(dataset, config.m)
-    obs_model, pnoise, _ = resolve_noise(config, dataset.name, dataset.n_rows, dataset.n_cols)
-    seed_free = obs_model is None and not isinstance(pnoise, UniformProcessNoise)
-    first = run(replace(config, reps=1), dataset=dataset, shards=shards)
-    finals = [first.final_err]
-    summaries = [first.summary]
-    for r in range(1, config.reps):
-        t_start = time.perf_counter()
+    traces_first = None
+    finals = []
+    summaries = []
+    for r in range(config.reps):
         cfg_r = replace(config, seed=rep_seed(config.seed, r), reps=1)
-        if seed_free:
-            summary = {**copy.deepcopy(first.summary), "seed": cfg_r.seed}
-            summary["wall_time_s"] = time.perf_counter() - t_start
-        else:
-            summary = run(cfg_r, dataset=dataset, shards=shards).summary
-        finals.append(summary["final_err"])
-        summaries.append(summary)
-    return MonteCarloResult(config=config, first_trace=first, final_errs=np.array(finals),
-                            summaries=summaries, copies=(config.reps - 1) * seed_free)
+        trace = run(cfg_r, dataset=dataset, shards=shards)
+        if r == 0:
+            traces_first = trace
+        finals.append(trace.final_err)
+        summaries.append(trace.summary)
+    return MonteCarloResult(config=config, first_trace=traces_first,
+                            final_errs=np.array(finals), summaries=summaries)
 
 
 # -- serialization ----------------------------------------------------------

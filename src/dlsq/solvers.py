@@ -74,9 +74,7 @@ def agent_r_matrix(shard, K, m, gram=None):
     c = shard.cols
     Kc = K[c]
     lo, hi = nonzero_columns(Kc)
-    R = np.empty(Kc.shape)
-    R[:, :lo] = 0.0
-    R[:, hi:] = 0.0
+    R = np.zeros(Kc.shape)
     W = Kc[:, lo:hi]
     if gram is None:
         np.matmul(shard.AT, np.matmul(shard.A[:, c], W), out=R[:, lo:hi])

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
-from dlsq.datasets import (Dataset, Shard, compute_spectrum, load_dataset, make_shards,
-                           synthesize_problem)
+from dlsq.datasets import Shard, compute_spectrum, load_dataset, make_shards, synthesize_problem
 from dlsq.noise import (
     STREAM_AGENT_BASE,
     STREAM_K,
@@ -364,52 +363,6 @@ def test_monte_carlo_rep_is_a_single_run_at_its_seed(seed, rep, method, noise):
     assert again.first_trace.rows == mc.first_trace.rows
     assert [without_wall_time(s) for s in again.summaries] == [
         without_wall_time(s) for s in mc.summaries]
-
-
-def _count_runs(monkeypatch):
-    """The config of every run the runner starts from here on."""
-    made = []
-    monkeypatch.setattr(runner, "run", lambda config, **kw: made.append(config) or run(
-        config, **kw))
-    return made
-
-
-@pytest.mark.parametrize("noise, runs", [
-    (dict(noise="none"), 1),
-    (dict(noise="process", process_kind="roundoff"), 1),
-    (dict(noise="process", process_kind="uniform", process_low=-1e-4, noise_level=2e-4), 5),
-    (dict(noise="observation", noise_level=0.05), 5),
-])
-def test_seed_free_reps_run_once(monkeypatch, noise, runs):
-    made = _count_runs(monkeypatch)
-    c = cfg(reps=5, max_iters=30, stop_tol=0.0, **noise)
-    mc = run_monte_carlo(c)
-    assert len(made) == runs and mc.copies == 5 - runs
-    # every rep, copied or run, reads as the single run at its own seed
-    for r, summary in enumerate(mc.summaries):
-        alone = run(replace(c, seed=rep_seed(c.seed, r), reps=1))
-        assert mc.final_errs[r] == alone.final_err
-        assert without_wall_time(summary) == without_wall_time(alone.summary)
-        # a copy times its own making, not rep 0's run
-        assert summary["wall_time_s"] >= 0.0
-        assert r == 0 or summary["wall_time_s"] != mc.summaries[0]["wall_time_s"]
-    # a copy holds none of rep 0's summary objects
-    mc.summaries[1]["noise"]["changed"] = True
-    mc.summaries[1]["params"].clear()
-    assert "changed" not in mc.summaries[0]["noise"] and mc.summaries[0]["params"]
-
-
-def test_seed_free_reps_follow_the_resolved_noise(monkeypatch):
-    # a process config of apc on gr_30_30 resolves to uniform noise, whose
-    # draws read the seed, so every rep runs
-    made = _count_runs(monkeypatch)
-    A = load_dataset("stencil:4,4").A
-    ds = Dataset(name="gr_30_30", A=A, x_star=np.ones(16), b=A @ np.ones(16))
-    c = RunConfig(dataset="gr_30_30", method="apc", noise="process", m=2, reps=3, max_iters=5)
-    assert isinstance(resolve_noise(c, ds.name, ds.n_rows, ds.n_cols)[1], UniformProcessNoise)
-    mc = run_monte_carlo(c, dataset=ds)
-    assert len(made) == 3 and mc.copies == 0
-    assert len(set(mc.final_errs)) == 3
 
 
 @pytest.mark.parametrize("noise", [
