@@ -41,7 +41,9 @@ class RankDeficiencyError(ValueError):
 class Dataset:
     """A regression problem: observations A (n_rows x n_cols), target b = A x_star.
 
-    A is held as a read-only view of the array given, not a copy, so
+    A and b are held as C-contiguous float64, the one layout the shards and
+    solvers read: an array given in that layout is held as it is, without
+    a copy, and any other is converted once. A is held read-only, so
     nothing written through it can leave prep stale."""
 
     name: str
@@ -52,11 +54,12 @@ class Dataset:
     prep: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        A = np.asarray(self.A)
+        A = np.ascontiguousarray(self.A, dtype=np.float64)
         if A.flags.writeable:  # a read-only A (replace's) is kept as it is
             A = A.view()
             A.flags.writeable = False
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", np.ascontiguousarray(self.b, dtype=np.float64))
 
     @property
     def n_rows(self):
@@ -323,7 +326,6 @@ def synthesize_problem(n_rows, n_cols, cond=10.0, seed=0):
     V, _ = np.linalg.qr(rng.standard_normal((n_cols, n_cols)))
     lam = np.geomspace(1.0, cond, n_cols)
     A = (U * np.sqrt(lam)) @ V.T
-    A = np.ascontiguousarray(A)
     x_star = np.ones(n_cols)
     return Dataset(name=_synth_name(n_rows, n_cols, cond, seed),
                    A=A, x_star=x_star, b=A @ x_star)
@@ -415,7 +417,6 @@ def load_dataset(name_or_path, data_dir=None):
             raise FileNotFoundError(f"no such dataset or file: {s}")
         A = parse_matrix_market(path)
 
-    A = np.ascontiguousarray(A, dtype=np.float64)
     x_star = np.ones(A.shape[1])
     return Dataset(name=dataset_name(s), A=A, x_star=x_star, b=A @ x_star)
 
@@ -442,19 +443,12 @@ def _column_span(A):
 
 
 def make_shards(dataset, m):
+    """The m agents' shards of dataset: each holds views of its rows of A and b."""
     shards = []
     for i, (start, stop) in enumerate(partition_rows(dataset.n_rows, m)):
-        A_i = np.ascontiguousarray(dataset.A[start:stop])
-        shards.append(
-            Shard(
-                agent_id=i,
-                row_start=start,
-                row_stop=stop,
-                A=A_i,
-                b=np.ascontiguousarray(dataset.b[start:stop]),
-                cols=_column_span(A_i),
-            )
-        )
+        A_i = dataset.A[start:stop]
+        shards.append(Shard(agent_id=i, row_start=start, row_stop=stop, A=A_i,
+                            b=dataset.b[start:stop], cols=_column_span(A_i)))
     return shards
 
 
@@ -473,11 +467,17 @@ def compute_spectrum(A):
 
     Raises RankDeficiencyError when A has no columns or A^T A is singular
     (lambda_d <= RANK_RTOL * lambda_1): A does not determine the parameters.
+    Raises ValueError when A^T A is not finite: A holds nan or inf, or
+    entries whose products overflow.
     """
     A64 = np.asarray(A, dtype=np.float64)
-    H = A64.T @ A64
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = A64.T @ A64
     if H.size == 0:
         raise RankDeficiencyError(f"A has no columns (shape {A64.shape}): nothing to solve for")
+    if not np.isfinite(H).all():
+        raise ValueError("A^T A is not finite: A holds nan or inf, or entries whose "
+                         "products overflow")
     eigenvalues = np.linalg.eigvalsh(H)
     lambda_d = float(eigenvalues[0])
     lambda_1 = float(eigenvalues[-1])

@@ -1,6 +1,7 @@
 """Noise models.
 
-Observation noise corrupts each agent's measurement vector once per run.
+Observation noise corrupts each agent's measurement vector once per run,
+on the agents' own shards: each shard is bound to its b plus its draw.
 Process noise corrupts iterated variables every round, either by adding
 uniform draws or by rounding to a fixed number of decimals (half away
 from zero).
@@ -23,11 +24,10 @@ the l1 is 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import partition_rows
 from .network import in_row_blocks
 
 # stream ids for iterated variables
@@ -72,23 +72,16 @@ class ObservationNoise:
         return n * self.half_width / 2.0
 
 
-def observation_eta(model, n_rows, m):
-    """eta, the level the observation bounds use: the expected per-agent
-    l1 noise magnitude at the largest of the m contiguous row shards."""
-    return model.expected_l1(max(stop - start for start, stop in partition_rows(n_rows, m)))
-
-
-def apply_observation_noise(dataset, m, seed, model):
-    """Corrupt, once, the rows of b that each of m agents will hold (the
-    shards make_shards cuts). Returns (dataset with the noisy b, realized),
-    realized being the per-agent l1 magnitudes of the draws."""
-    b = dataset.b.astype(np.float64)
-    realized = []
-    for agent_id, (start, stop) in enumerate(partition_rows(dataset.n_rows, m)):
-        w = model.draw(seed, agent_id, stop - start)
-        b[start:stop] += w
+def apply_observation_noise(shards, seed, model):
+    """Corrupt, once, the b each shard holds with its agent's draw. Returns
+    (the shards bound to their noisy b, realized), realized being the
+    per-agent l1 magnitudes of the draws; the shards given are unchanged."""
+    noisy, realized = [], []
+    for sh in shards:
+        w = model.draw(seed, sh.agent_id, sh.n_rows)
+        noisy.append(sh.bind(sh.b + w))
         realized.append(float(np.abs(w).sum()))
-    return replace(dataset, b=b), realized
+    return noisy, realized
 
 
 class NoProcessNoise:

@@ -36,7 +36,6 @@ from .noise import (
     RoundoffProcessNoise,
     UniformProcessNoise,
     apply_observation_noise,
-    observation_eta,
 )
 from .solvers import METHODS, make_solver, rounds
 
@@ -107,12 +106,14 @@ DEFAULT_PARAMS = {
     ("gr_30_30", "bfgs"): {},
 }
 
-# Per-dataset process-noise conventions: round-off for the gradient-family
-# methods, one-sided uniform ranges for apc/bfgs (round-off would be a
-# no-op relative to their much smaller step granularity).
+# Per-dataset process-noise conventions: the high end of a one-sided
+# uniform range for apc/bfgs (round-off would be a no-op relative to their
+# much smaller step granularity); every other pair is round-off.
 DEFAULT_PROCESS = {
-    "ash608": {"default": ("roundoff", 4), "apc": ("uniform", 5e-5), "bfgs": ("uniform", 9e-5)},
-    "gr_30_30": {"default": ("roundoff", 4), "apc": ("uniform", 5e-5), "bfgs": ("uniform", 2e-6)},
+    ("ash608", "apc"): 5e-5,
+    ("ash608", "bfgs"): 9e-5,
+    ("gr_30_30", "apc"): 5e-5,
+    ("gr_30_30", "bfgs"): 2e-6,
 }
 
 
@@ -250,20 +251,17 @@ def resolve_noise(config, dataset_name, n_rows, d):
                 )
             a = info.observation_half_width
         model = ObservationNoise(half_width=float(a))
-        meta.update(half_width=float(a), eta=observation_eta(model, n_rows, config.m))
+        # eta: the expected per-agent l1 noise magnitude at the largest shard
+        largest = max(stop - start for start, stop in partition_rows(n_rows, config.m))
+        meta.update(half_width=float(a), eta=model.expected_l1(largest))
         return model, NoProcessNoise(), meta
 
     kind = config.process_kind
     level = config.noise_level
     if kind is None:
-        per_ds = DEFAULT_PROCESS.get(dataset_name)
-        if per_ds is None:
-            kind = "roundoff"
-        else:
-            entry = per_ds.get(config.method, per_ds["default"])
-            kind = entry[0]
-            if level is None and kind == "uniform":
-                level = entry[1]
+        high = DEFAULT_PROCESS.get((dataset_name, config.method))
+        kind = "roundoff" if high is None else "uniform"
+        level = high if level is None else level
     if kind == "roundoff":
         model = RoundoffProcessNoise(decimals=config.roundoff_decimals)
         meta.update(kind="roundoff", decimals=config.roundoff_decimals)
@@ -316,15 +314,10 @@ def _where(a):
 
 def _is_cut(shards, A, m):
     """Whether shards are make_shards' cut of A's rows for m agents: each
-    shard's A the very view make_shards takes of its rows, or else equal
-    to those rows."""
-    if [(sh.row_start, sh.row_stop) for sh in shards] != partition_rows(len(A), m):
-        return False
-    for sh in shards:
-        rows = A[sh.row_start:sh.row_stop]
-        if _where(sh.A) != _where(rows) and not np.array_equal(sh.A, rows):
-            return False
-    return True
+    shard's A the very view make_shards takes of its rows. Nothing is
+    compared by value, so a cut holding copies of the rows is not one."""
+    return ([(sh.row_start, sh.row_stop) for sh in shards] == partition_rows(len(A), m)
+            and all(_where(sh.A) == _where(A[sh.row_start:sh.row_stop]) for sh in shards))
 
 
 def run(config, dataset=None, on_iteration=None, shards=None):
@@ -332,10 +325,11 @@ def run(config, dataset=None, on_iteration=None, shards=None):
 
     dataset and shards (make_shards of the dataset at config.m) may be
     passed to skip rebuilding them across runs: a Dataset's spectrum is
-    computed on its first run, and the run binds its own b to the shards,
-    so one cut serves every run on the same A and m. A dataset that
-    dataset_name(config.dataset) does not name, or shards cut from other
-    rows, are a ValueError, so that the trace's config re-runs it.
+    computed on its first run, and the run binds the dataset's b, plus its
+    own observation noise, to the shards, so one cut serves every run on
+    the same A and m. A dataset that dataset_name(config.dataset) does not
+    name, or shards that are not views of its rows, are a ValueError, so
+    that the trace's config re-runs it.
     on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
@@ -344,14 +338,14 @@ def run(config, dataset=None, on_iteration=None, shards=None):
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
-    if obs_model is not None:
-        ds, eta_realized = apply_observation_noise(ds, config.m, config.seed, obs_model)
-        noise_meta["eta_realized_max"] = max(eta_realized)
     if shards is None:
         shards = make_shards(ds, config.m)
     elif not _is_cut(shards, ds.A, config.m):
         raise ValueError(f"shards must be make_shards of this dataset at m={config.m}")
     shards = [sh.bind(ds.b[sh.row_start:sh.row_stop]) for sh in shards]
+    if obs_model is not None:
+        shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
+        noise_meta["eta_realized_max"] = max(eta_realized)
     if config.noise == "process":
         pnoise = _RecordingProcessNoise(pnoise, d)
 

@@ -184,6 +184,16 @@ def test_problem_with_no_columns_exits_2(tmp_path, capsys, command, dataset):
     assert "no columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "gd"], ["spectrum"]])
+def test_problem_with_a_non_finite_gram_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "inf.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
+                    "1 1 1\n2 2 1\n3 2 inf\n")
+    rc = main([command[0], "--dataset", str(path), *command[1:], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "A^T A is not finite" in capsys.readouterr().err
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     out_file = tmp_path / "spec.json"
     rc = main(["spectrum", "--dataset", SPEC, "--out", str(out_file)])

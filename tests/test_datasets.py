@@ -536,6 +536,16 @@ def test_rank_deficiency_raises():
             compute_spectrum(np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_non_finite_gram_raises_without_a_warning(value):
+    # nan and inf reach A^T A as they are; 1e200 is finite, but its square
+    # overflows. Warnings are errors in this suite, so none may escape.
+    A = np.eye(3, 2)
+    A[2, 1] = value
+    with pytest.raises(ValueError, match="A\\^T A is not finite"):
+        compute_spectrum(A)
+
+
 def test_spectrum_eigenvalues_ascend(small_problem):
     sp = compute_spectrum(small_problem.A)
     H = small_problem.A.T @ small_problem.A

@@ -210,9 +210,9 @@ def test_concurrent_rounds_equal_sequential_rounds_bit_for_bit(use_helpers, monk
     pnoise = {"none": NoProcessNoise(), "observation": NoProcessNoise(),
               "roundoff": RoundoffProcessNoise(decimals=4),
               "uniform": UniformProcessNoise(seed=3, low=-1e-4, high=2e-4)}[noise]
-    if noise == "observation":
-        ds, _ = apply_observation_noise(ds, 10, 3, ObservationNoise(half_width=0.05))
     shards = make_shards(ds, 10)
+    if noise == "observation":
+        shards, _ = apply_observation_noise(shards, 3, ObservationNoise(half_width=0.05))
     rng.shuffle(shards)
     threads = set()
     real = solvers.agent_r_matrix

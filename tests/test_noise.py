@@ -1,9 +1,11 @@
 """Noise models: quantization semantics, stream determinism, l1 levels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlsq import noise
-from dlsq.datasets import make_shards, synthesize_problem
+from dlsq.datasets import make_shards, partition_rows, synthesize_problem
 from dlsq.noise import (
     NoProcessNoise,
     ObservationNoise,
@@ -12,7 +14,6 @@ from dlsq.noise import (
     STREAM_X,
     UniformProcessNoise,
     apply_observation_noise,
-    observation_eta,
     realized_l1,
     roundoff,
     stream_generator,
@@ -280,48 +281,65 @@ def test_uniform_process_l1_bound_gr_convention():
 def test_apply_observation_noise_levels_and_determinism():
     ds = synthesize_problem(61 * 2, 6, cond=3.0, seed=0)
     model = ObservationNoise(0.25)
-    noisy, realized = apply_observation_noise(ds, 2, seed=9, model=model)
-    assert noisy.A is ds.A and noisy.x_star is ds.x_star
+    shards = make_shards(ds, 2)
+    noisy, realized = apply_observation_noise(shards, seed=9, model=model)
 
-    for sh, nsh, real in zip(make_shards(ds, 2), make_shards(noisy, 2), realized):
+    for sh, nsh, real in zip(shards, noisy, realized):
         w = nsh.b - sh.b
         assert np.all(np.abs(w) < 0.25)
         # each agent's draw from its own stream, over the rows it holds
         assert np.array_equal(nsh.b, sh.b + model.draw(9, sh.agent_id, sh.n_rows))
         assert real == pytest.approx(np.abs(w).sum())
-        assert np.array_equal(nsh.A, sh.A)
+        assert nsh.A is sh.A and nsh.AT is sh.AT and nsh.prep is sh.prep
+    # the shards given, and the dataset's b they view, keep the clean b
+    assert all(np.shares_memory(sh.b, ds.b) for sh in shards)
+    assert np.array_equal(np.concatenate([sh.b for sh in shards]), ds.A @ ds.x_star)
 
-    again, realized2 = apply_observation_noise(ds, 2, seed=9, model=model)
-    np.testing.assert_array_equal(noisy.b, again.b)
+    again, realized2 = apply_observation_noise(shards, seed=9, model=model)
+    assert all(np.array_equal(a.b, n.b) for a, n in zip(again, noisy))
     assert realized == realized2
 
-    other, _ = apply_observation_noise(ds, 2, seed=10, model=model)
-    assert not np.array_equal(noisy.b, other.b)
+    other, _ = apply_observation_noise(shards, seed=10, model=model)
+    assert not np.array_equal(noisy[0].b, other[0].b)
 
 
 def test_observation_draws_differ_across_agents():
     ds = synthesize_problem(40, 4, cond=2.0, seed=1)
-    noisy, _ = apply_observation_noise(ds, 2, seed=3, model=ObservationNoise(0.1))
-    w = noisy.b - ds.b
-    assert not np.array_equal(w[:20], w[20:])
+    shards = make_shards(ds, 2)
+    noisy, _ = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.1))
+    w0, w1 = (n.b - sh.b for sh, n in zip(shards, noisy))
+    assert not np.array_equal(w0, w1)
 
 
 def test_zero_half_width_is_exact():
     ds = synthesize_problem(20, 4, cond=2.0, seed=1)
-    noisy, realized = apply_observation_noise(ds, 2, seed=3, model=ObservationNoise(0.0))
-    np.testing.assert_array_equal(noisy.b, ds.b)
+    shards = make_shards(ds, 2)
+    noisy, realized = apply_observation_noise(shards, seed=3, model=ObservationNoise(0.0))
+    assert all(np.array_equal(n.b, sh.b) for sh, n in zip(shards, noisy))
     assert realized == [0.0, 0.0]
-    assert observation_eta(ObservationNoise(0.0), 20, 2) == 0.0
 
 
-def test_observation_eta_is_expected_l1_at_largest_shard():
-    # 122 rows over 2 agents: 61 rows each, 61 * 0.25 / 2
-    assert observation_eta(ObservationNoise(0.25), 122, 2) == pytest.approx(7.625)
-    # 60 rows over 7 agents: shards of 9 and 8 rows, the level is the 9-row one
-    model = ObservationNoise(0.05)
-    shards = make_shards(synthesize_problem(60, 4, cond=2.0, seed=1), 7)
-    assert observation_eta(model, 60, 7) == max(model.expected_l1(sh.n_rows) for sh in shards)
-    assert observation_eta(model, 60, 7) == model.expected_l1(9)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shard_noise_is_the_whole_b_formula_bit_for_bit(data):
+    # the noise drawn on the shards is b.astype(float64) with each agent's
+    # rows b[start:stop] += its draw, byte for byte, and realized is the l1
+    # of each draw
+    n_rows = data.draw(st.integers(1, 40), label="n_rows")
+    m = data.draw(st.integers(1, n_rows), label="m")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    model = ObservationNoise(data.draw(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3, allow_subnormal=False)), label="a"))
+    ds = synthesize_problem(n_rows, 1, cond=1.0, seed=seed % 1000)
+    noisy, realized = apply_observation_noise(make_shards(ds, m), seed, model)
+
+    b = ds.b.astype(np.float64)
+    draws = []
+    for i, (start, stop) in enumerate(partition_rows(n_rows, m)):
+        draws.append(model.draw(seed, i, stop - start))
+        b[start:stop] += draws[-1]
+    assert b"".join(sh.b.tobytes() for sh in noisy) == b.tobytes()
+    assert realized == [float(np.abs(w).sum()) for w in draws]
 
 
 def test_realized_l1_helper():

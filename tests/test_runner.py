@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
-from dlsq.datasets import Shard, compute_spectrum, load_dataset, make_shards, synthesize_problem
+from dlsq.datasets import (Dataset, Shard, compute_spectrum, load_dataset, make_shards,
+                           synthesize_problem)
 from dlsq.noise import (
     STREAM_AGENT_BASE,
     STREAM_K,
     STREAM_M,
     STREAM_X,
     STREAM_XBAR,
+    ObservationNoise,
     UniformProcessNoise,
     realized_l1,
 )
@@ -123,6 +125,20 @@ def test_resolve_noise_defaults_and_errors():
         resolve_noise(cfg(noise="process", process_kind="uniform"), "x", 60, 10)
     with pytest.raises(ValueError):
         resolve_noise(cfg(noise="banana"), "x", 60, 10)
+
+
+def test_observation_eta_is_expected_l1_at_largest_shard():
+    def eta(a, n_rows, m):
+        return resolve_noise(cfg(noise="observation", noise_level=a, m=m), "x", n_rows, 4)[2]["eta"]
+
+    assert eta(0.0, 20, 2) == 0.0
+    # 122 rows over 2 agents: 61 rows each, 61 * 0.25 / 2
+    assert eta(0.25, 122, 2) == pytest.approx(7.625)
+    # 60 rows over 7 agents: shards of 9 and 8 rows, the level is the 9-row one
+    model = ObservationNoise(0.05)
+    shards = make_shards(synthesize_problem(60, 4, cond=2.0, seed=1), 7)
+    assert eta(0.05, 60, 7) == max(model.expected_l1(sh.n_rows) for sh in shards)
+    assert eta(0.05, 60, 7) == model.expected_l1(9)
 
 
 def test_run_validates_method_and_noise():
@@ -611,6 +627,42 @@ def test_dataset_a_is_read_only_and_a_replaced_a_has_its_own_spectrum(monkeypatc
         4.0 * ds.prep["spectrum"].lambda_1)
 
 
+def test_dataset_holds_one_layout_whatever_layout_it_is_given(rng):
+    A = rng.integers(-5, 6, size=(40, 6))
+    A64 = np.ascontiguousarray(A, dtype=np.float64)
+    wide = np.zeros((40, 12))
+    wide[:, ::2] = A64
+    b = A64 @ np.ones(6)
+    given = {"int64": (A, b), "fortran": (np.asfortranarray(A64), b),
+             "column-strided": (wide[:, ::2], b), "strided b": (A64, np.stack([b, b], 1)[:, 0])}
+    configs = [RunConfig(dataset="layout", method="ipg", noise="observation", noise_level=0.05,
+                         m=4, max_iters=60),
+               RunConfig(dataset="layout", method="gd", noise="process", m=4, max_iters=60)]
+
+    def traces(A, b):
+        ds = Dataset(name="layout", A=A, x_star=np.ones(6), b=b)
+        for held in (ds.A, ds.b):
+            assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert not ds.A.flags.writeable
+        out = []
+        for c in configs:
+            mc = run_monte_carlo(replace(c, reps=2), dataset=ds)
+            out += [trace_csv_text(run(c, dataset=ds)), trace_csv_text(mc.first_trace),
+                    mc.final_errs.tobytes()]
+        return out
+
+    want = traces(A64, b)
+    for name, (A_given, b_given) in given.items():
+        assert traces(A_given, b_given) == want, name
+
+    ds = Dataset(name="layout", A=A64, x_star=np.ones(6), b=b)
+    assert np.shares_memory(ds.A, A64) and ds.b is b
+    for sh in make_shards(ds, 4):
+        rows = slice(sh.row_start, sh.row_stop)
+        assert sh.A.base is ds.A.base and np.shares_memory(sh.A, ds.A[rows])
+        assert np.shares_memory(sh.b, ds.b[rows])
+
+
 def test_grid_rows_count_the_reps_that_diverge(tmp_path):
     # bfgs under heavy uniform process noise on SPEC diverges at round 122,
     # 147 and 132 in reps 0, 1 and 2: 140 rounds see two of them diverge
@@ -719,10 +771,11 @@ def test_view_shards_pass_the_cut_check_without_comparing_values(monkeypatch):
     monkeypatch.setattr(np, "array_equal", lambda *a, **kw: compared.append(a) or real(*a, **kw))
     run(c, dataset=ds, shards=make_shards(ds, c.m))
     run_monte_carlo(replace(c, reps=2, noise="observation", noise_level=0.05), dataset=ds)
+    # shards holding copies of the rows are rejected, and nothing is
+    # compared by value
+    with pytest.raises(ValueError, match="shards must be make_shards of this dataset"):
+        run(c, dataset=ds, shards=copies)
     assert compared == []
-    # shards holding copies of the rows are compared by value, and accepted
-    assert run(c, dataset=ds, shards=copies).rows == run(c).rows
-    assert len(compared) == c.m
 
 
 def test_run_rejects_a_dataset_or_spectrum_its_config_does_not_name():

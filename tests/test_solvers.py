@@ -390,8 +390,9 @@ def test_ipg_compressed_matches_forced_dense(observation):
     # m = 2: spans of 40 < 2 n_i = 64 columns take the Gram route, and the
     # full span of 64 columns keeps the two products
     for m in (10, 2):
-        noisy = apply_observation_noise(ds, m, 3, ObservationNoise(0.05))[0] if observation else ds
-        shards = make_shards(noisy, m)
+        shards = make_shards(ds, m)
+        if observation:
+            shards = apply_observation_noise(shards, 3, ObservationNoise(0.05))[0]
         assert any(sh.cols != slice(0, d) for sh in shards)
         assert [g is None for g in make_solver("ipg", params).init_agent_states(shards)] == (
             [m == 10] * m)
