@@ -50,7 +50,8 @@ class Dataset:
     A: np.ndarray
     x_star: np.ndarray
     b: np.ndarray
-    # runs' set-up from A alone, by name, filled on first use; replace empties it
+    # runs' set-up from A alone, filled on first use: "spectrum", and
+    # ("cut", m), make_shards(self, m); replace empties it
     prep: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -90,8 +91,9 @@ class Shard:
     AT: np.ndarray = field(init=False, repr=False)
     # the agents' set-up that depends on A and cols alone, by method (apc's
     # pseudo-inverse and projector, ipg's local Gram block): a solver fills
-    # its entry on first use, every binding of the shard shares it, and
-    # run_grid drops it after the method's last cell on this cut
+    # its entry on first use and every binding of the shard shares it, so
+    # on a Dataset's cut it lives as long as the cut does; run_grid drops
+    # it after the method's last cell on this cut
     prep: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -418,7 +420,10 @@ def load_dataset(name_or_path, data_dir=None):
         A = parse_matrix_market(path)
 
     x_star = np.ones(A.shape[1])
-    return Dataset(name=dataset_name(s), A=A, x_star=x_star, b=A @ x_star)
+    # a non-finite A is compute_spectrum's error, not a warning from here
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = A @ x_star
+    return Dataset(name=dataset_name(s), A=A, x_star=x_star, b=b)
 
 
 def partition_rows(n_rows, m):

@@ -176,16 +176,3 @@ def _round_half_away(v, scale):
 
     return _corrupt_rows(v, round_rows)
 
-
-def roundoff(v, decimals=4):
-    """Round half away from zero at `decimals` places (scalar or array)."""
-    out = np.array(v, dtype=np.float64)
-    _round_half_away(out, 10.0 ** decimals)
-    return float(out) if out.ndim == 0 else out
-
-
-def realized_l1(before, after):
-    """l1 magnitude of the corruption actually applied to one variable."""
-    diff = np.atleast_1d(np.subtract(after, before))
-    np.abs(diff, out=diff)
-    return float(diff.sum())

@@ -307,29 +307,23 @@ def _problem(config, dataset=None):
     return dataset, dataset.prep["spectrum"]
 
 
-def _where(a):
-    """Where a's elements lie: data pointer, shape, strides and dtype."""
-    return a.ctypes.data, a.shape, a.strides, a.dtype
+def _cut(dataset, m):
+    """make_shards(dataset, m), kept in the dataset's prep from its first use."""
+    if ("cut", m) not in dataset.prep:
+        dataset.prep["cut", m] = make_shards(dataset, m)
+    return dataset.prep["cut", m]
 
 
-def _is_cut(shards, A, m):
-    """Whether shards are make_shards' cut of A's rows for m agents: each
-    shard's A the very view make_shards takes of its rows. Nothing is
-    compared by value, so a cut holding copies of the rows is not one."""
-    return ([(sh.row_start, sh.row_stop) for sh in shards] == partition_rows(len(A), m)
-            and all(_where(sh.A) == _where(A[sh.row_start:sh.row_stop]) for sh in shards))
-
-
-def run(config, dataset=None, on_iteration=None, shards=None):
+def run(config, dataset=None, on_iteration=None):
     """Execute one run (config.seed) and return its RunTrace.
 
-    dataset and shards (make_shards of the dataset at config.m) may be
-    passed to skip rebuilding them across runs: a Dataset's spectrum is
-    computed on its first run, and the run binds the dataset's b, plus its
-    own observation noise, to the shards, so one cut serves every run on
-    the same A and m. A dataset that dataset_name(config.dataset) does not
-    name, or shards that are not views of its rows, are a ValueError, so
-    that the trace's config re-runs it.
+    dataset may be passed to skip rebuilding it across runs: a Dataset's
+    spectrum and its cut for config.m are made on its first run and kept
+    in its prep, and each run binds the dataset's b, plus its own
+    observation noise, to that cut, so one cut, and each method's set-up
+    on it, serves every run on the same Dataset and m. A dataset that
+    dataset_name(config.dataset) does not name is a ValueError, so that
+    the trace's config re-runs it.
     on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
@@ -338,11 +332,7 @@ def run(config, dataset=None, on_iteration=None, shards=None):
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
-    if shards is None:
-        shards = make_shards(ds, config.m)
-    elif not _is_cut(shards, ds.A, config.m):
-        raise ValueError(f"shards must be make_shards of this dataset at m={config.m}")
-    shards = [sh.bind(ds.b[sh.row_start:sh.row_stop]) for sh in shards]
+    shards = [sh.bind(ds.b[sh.row_start:sh.row_stop]) for sh in _cut(ds, config.m)]
     if obs_model is not None:
         shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
         noise_meta["eta_realized_max"] = max(eta_realized)
@@ -450,18 +440,16 @@ def rep_seed(base_seed, rep):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_monte_carlo(config, dataset=None, shards=None):
+def run_monte_carlo(config, dataset=None):
     """config.reps independent runs over derived seeds, all on one dataset
-    and one cut of it (each as run takes it; built here when not given)."""
+    (as run takes it; loaded here when not given) and so on its one cut."""
     dataset, _ = _problem(config, dataset)
-    if shards is None:
-        shards = make_shards(dataset, config.m)
     traces_first = None
     finals = []
     summaries = []
     for r in range(config.reps):
         cfg_r = replace(config, seed=rep_seed(config.seed, r), reps=1)
-        trace = run(cfg_r, dataset=dataset, shards=shards)
+        trace = run(cfg_r, dataset=dataset)
         if r == 0:
             traces_first = trace
         finals.append(trace.final_err)
@@ -638,7 +626,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
     cells would write the same trace files.
 
     A dataset is loaded, and cut for each m, once: its cells share its
-    spectrum (Dataset.prep), the cut and each method's set-up on it
+    spectrum and its cuts (Dataset.prep) and each method's set-up on a cut
     (Shard.prep). Each is dropped right after the last cell that uses it.
     A row's stopped and diverged_at are rep 0's; diverged_reps counts the
     reps that diverged."""
@@ -655,7 +643,6 @@ def run_grid(configs, out_dir=None, emit_traces=True):
     results = []
     summary_rows = []
     problems = {}  # dataset -> Dataset
-    cuts = {}  # (dataset, m) -> shards
     for j, cfg in enumerate(configs):
         row = {c: "" for c in GRID_COLUMNS}
         row.update(label=_cell_label(cfg), dataset=cfg.dataset,
@@ -664,9 +651,7 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         try:
             if key not in problems:
                 problems[key], _ = _problem(cfg)
-            if (key, cfg.m) not in cuts:
-                cuts[key, cfg.m] = make_shards(problems[key], cfg.m)
-            mc = run_monte_carlo(cfg, problems[key], shards=cuts[key, cfg.m])
+            mc = run_monte_carlo(cfg, problems[key])
             first = mc.first_trace
             row.update(
                 label=trace_label(first),
@@ -686,10 +671,11 @@ def run_grid(configs, out_dir=None, emit_traces=True):
         # one result per cell, None where its row reports an error
         results.append(mc)
         summary_rows.append(row)
+        prep = problems[key].prep if key in problems else {}
         if last[key, cfg.m, cfg.method] == j:
-            _drop_setup(cuts.get((key, cfg.m), ()), cfg.method)
+            _drop_setup(prep.get(("cut", cfg.m), ()), cfg.method)
         if last[key, cfg.m] == j:
-            cuts.pop((key, cfg.m), None)
+            prep.pop(("cut", cfg.m), None)
         if last[key] == j:
             problems.pop(key, None)
 

@@ -1,11 +1,12 @@
 """The four subcommands, exercised in-process through main()."""
 import json
 
+import numpy as np
 import pytest
 
 from dlsq import cli
 from dlsq.cli import _config_from_args, build_parser, main
-from dlsq.datasets import compute_spectrum
+from dlsq.datasets import compute_spectrum, load_dataset
 from dlsq.runner import RunConfig, parse_trace, run
 
 SPEC = "synth:60,10,4.0,3"
@@ -190,6 +191,20 @@ def test_problem_with_a_non_finite_gram_exits_2(tmp_path, capsys, command):
     path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
                     "1 1 1\n2 2 1\n3 2 inf\n")
     rc = main([command[0], "--dataset", str(path), *command[1:], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "A^T A is not finite" in capsys.readouterr().err
+
+
+def test_a_row_holding_inf_and_minus_inf_is_the_not_finite_error(tmp_path, capsys):
+    # its b = A x_star is inf - inf = nan; warnings are errors in this suite,
+    # so forming b must not warn, and the run's error is the not-finite A^T A
+    path = tmp_path / "infs.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
+                    "1 1 inf\n1 2 -inf\n2 2 1\n")
+    assert np.isnan(load_dataset(str(path)).b[0])
+    with pytest.raises(ValueError, match="A\\^T A is not finite"):
+        run(RunConfig(dataset=str(path), method="gd", max_iters=5))
+    rc = main(["run", "--dataset", str(path), "--method", "gd", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "A^T A is not finite" in capsys.readouterr().err
 

@@ -25,7 +25,6 @@ from dlsq.noise import (
     STREAM_K,
     UniformProcessNoise,
     apply_observation_noise,
-    roundoff,
 )
 from dlsq.runner import RunConfig, resolve_params, run, trace_csv_text
 from dlsq.solvers import IPGSolver, agent_gradient, make_solver, run_rounds
@@ -454,8 +453,11 @@ def _corrupt_from_the_agents_of_a_round(monkeypatch):
     """Each agent of a concurrent round rounds its own 450 x 500 variable,
     which alone would be split by rows: the (asker, thread) of each block."""
     K = np.linspace(-1.0, 1.0, 450 * 500).reshape(450, 500)
-    want = sum(roundoff(K * (i + 1), 2) for i in range(10))
     model = RoundoffProcessNoise(decimals=2)
+    rounded = [K * (i + 1) for i in range(10)]
+    for v in rounded:
+        model.corrupt(v, STREAM_K, 0)
+    want = sum(rounded)
     noted = _noted_row_blocks(monkeypatch)
 
     def agent(bc, shard, ast):

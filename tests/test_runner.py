@@ -24,7 +24,6 @@ from dlsq.noise import (
     STREAM_XBAR,
     ObservationNoise,
     UniformProcessNoise,
-    realized_l1,
 )
 from dlsq.runner import (
     DEFAULT_PARAMS,
@@ -613,6 +612,33 @@ def test_a_dataset_computes_its_spectrum_once(monkeypatch):
     assert mc.final_errs.tolist() == fresh_mc.final_errs.tolist()
 
 
+def test_a_dataset_is_cut_once_for_each_m(monkeypatch):
+    cuts = []  # (dataset, m) of every cut the runner makes
+    real = runner.make_shards
+    monkeypatch.setattr(runner, "make_shards", lambda ds, m: cuts.append((ds, m)) or real(ds, m))
+    c = cfg(max_iters=30, stop_tol=0.0)
+    mc_config = replace(c, noise="observation", noise_level=0.05, reps=3)
+
+    def runs(ds):
+        return (run(c, dataset=ds), run(replace(c, method="gd"), dataset=ds),
+                run_monte_carlo(mc_config, dataset=ds))
+
+    ds = load_dataset(SPEC)
+    *traces, mc = runs(ds)
+    run(replace(c, m=3), dataset=ds)
+    assert [(d is ds, m) for d, m in cuts] == [(True, c.m), (True, 3)]
+    *fresh_traces, fresh_mc = runs(load_dataset(SPEC))
+    assert len(cuts) == 3
+    for got, want in zip([*traces, mc.first_trace], [*fresh_traces, fresh_mc.first_trace]):
+        assert trace_csv_text(got) == trace_csv_text(want)
+    assert mc.final_errs.tolist() == fresh_mc.final_errs.tolist()
+    assert replace(ds, A=2.0 * ds.A).prep == {}
+    # the Dataset holds its cuts, and clearing its prep frees them
+    shards = [weakref.ref(sh) for sh in ds.prep["cut", c.m]]
+    ds.prep.clear()
+    assert _alive(shards) == 0
+
+
 def test_dataset_a_is_read_only_and_a_replaced_a_has_its_own_spectrum(monkeypatch):
     ds = load_dataset(SPEC)
     with pytest.raises(ValueError, match="read-only"):
@@ -725,7 +751,9 @@ def test_shared_setup_is_dropped_after_its_last_cell(monkeypatch):
     cuts, projections = [], []
     monkeypatch.setattr(runner, "make_shards", _tracked(cuts)(make_shards))
     monkeypatch.setattr(solvers, "apc_projection", _tracked(projections)(solvers.apc_projection))
-    seen = []  # per cell: (method, projections alive, shards alive) as it starts
+    # per cell: (method, projections alive, shards alive) as it starts; a
+    # cell's first run makes the cut its dataset does not yet hold
+    seen = []
     real = runner.run_monte_carlo
 
     def noted(config, *args, **kw):
@@ -744,38 +772,11 @@ def test_shared_setup_is_dropped_after_its_last_cell(monkeypatch):
     # (four runs) and gone once the second has run; the m=3 cut lives for
     # its one cell
     assert len(projections) == 2 * m and len(cuts) == m + 3
-    assert seen == [("apc", 0, m), ("bfgs", 2 * m, m), ("apc", 2 * m, m), ("gd", 0, m),
-                    ("gd", 0, m + 3), ("gd", 0, m)]
+    assert seen == [("apc", 0, 0), ("bfgs", 2 * m, m), ("apc", 2 * m, m), ("gd", 0, m),
+                    ("gd", 0, m), ("gd", 0, m)]
     assert _alive(cuts) == _alive(projections) == 0
     run_monte_carlo(replace(configs[2], reps=2))
     assert len(projections) == 4 * m and _alive(cuts) == _alive(projections) == 0
-
-
-def test_run_rejects_shards_of_another_cut():
-    ds = load_dataset(SPEC)
-    c = cfg(method="gd", max_iters=5)
-    trace = run(c, dataset=ds, shards=make_shards(ds, c.m))
-    assert trace.rows == run(c).rows
-    other = synthesize_problem(60, 10, cond=4.0, seed=4)
-    for shards in (make_shards(ds, 3), make_shards(other, c.m), make_shards(ds, c.m)[:-1]):
-        with pytest.raises(ValueError, match="shards must be make_shards of this dataset"):
-            run(c, dataset=ds, shards=shards)
-
-
-def test_view_shards_pass_the_cut_check_without_comparing_values(monkeypatch):
-    ds = load_dataset(SPEC)
-    c = cfg(method="gd", max_iters=5)
-    copies = [replace(sh, A=sh.A.copy()) for sh in make_shards(ds, c.m)]
-    compared = []
-    real = np.array_equal
-    monkeypatch.setattr(np, "array_equal", lambda *a, **kw: compared.append(a) or real(*a, **kw))
-    run(c, dataset=ds, shards=make_shards(ds, c.m))
-    run_monte_carlo(replace(c, reps=2, noise="observation", noise_level=0.05), dataset=ds)
-    # shards holding copies of the rows are rejected, and nothing is
-    # compared by value
-    with pytest.raises(ValueError, match="shards must be make_shards of this dataset"):
-        run(c, dataset=ds, shards=copies)
-    assert compared == []
 
 
 def test_run_rejects_a_dataset_or_spectrum_its_config_does_not_name():
@@ -934,9 +935,11 @@ def test_concurrent_calls_on_two_streams_keep_their_own_sums():
 class _FreshRecorder(runner._RecordingProcessNoise):
     """The fresh realized-noise formula: l1(before, after) of each
     corruption against a copy of the variable taken before it, l1 being
-    realized_l1, the sum of the whole |after - before|."""
+    the sum of the whole |after - before|."""
 
-    l1 = staticmethod(realized_l1)
+    @staticmethod
+    def l1(before, after):
+        return float(np.abs(after - before).sum())
 
     def corrupt(self, v, stream, iteration):
         before = v.copy()

@@ -38,8 +38,10 @@ reads its config back from the JSON with ``parse_trace`` and runs that
 config again; a re-run whose CSV text differs from the trace's is
 printed. It also runs every trace's config once more on one Dataset
 object shared by all the configs that name its dataset, so that every
-run on it after the first reads the spectrum the first one computed; a
-shared re-run whose CSV text differs is printed too. It ends with one
+run on it after the first reads the spectrum the first one computed,
+every run after the first at its m reads the cut that one made, and
+every run after the first of its method on that cut reads that method's
+set-up on it; a shared re-run whose CSV text differs is printed too. It ends with one
 line: how many traces differ, the largest err and bound gaps among
 them, how many realized means differ and the largest relative gap among
 them, how many grid cells' final errors differ, how many re-runs from
