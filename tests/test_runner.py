@@ -639,6 +639,26 @@ def test_a_dataset_is_cut_once_for_each_m(monkeypatch):
     assert _alive(shards) == 0
 
 
+def test_noisy_runs_leave_the_held_cut_clean():
+    # observation noise is bound to each run's own shards: the cut the
+    # Dataset keeps still holds views of its clean A and b, so a clean run
+    # after noisy ones reads what it reads on a fresh Dataset
+    c = cfg(method="gd", max_iters=30, stop_tol=0.0)
+    noisy = replace(c, noise="observation", noise_level=0.05)
+    ds = load_dataset(SPEC)
+    clean_b = ds.b.copy()
+    run(noisy, dataset=ds)
+    run_monte_carlo(replace(noisy, reps=3), dataset=ds)
+    held = ds.prep["cut", c.m]
+    assert [sh.b.tobytes() for sh in held] == [
+        sh.b.tobytes() for sh in make_shards(load_dataset(SPEC), c.m)]
+    for sh in held:
+        assert np.shares_memory(sh.A, ds.A) and np.shares_memory(sh.b, ds.b)
+    assert ds.b.tobytes() == clean_b.tobytes()
+    assert trace_csv_text(run(c, dataset=ds)) == trace_csv_text(run(c))
+    assert ds.prep["cut", c.m] is held
+
+
 def test_dataset_a_is_read_only_and_a_replaced_a_has_its_own_spectrum(monkeypatch):
     ds = load_dataset(SPEC)
     with pytest.raises(ValueError, match="read-only"):
