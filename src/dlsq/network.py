@@ -2,8 +2,11 @@
 
 The server hands every agent the same broadcast payload; each agent
 computes a reply from its own shard only; the server consumes the sum
-of the replies. Replies are summed in ascending agent-id order no
-matter how the shard list is arranged, so shard order never changes
+of the replies. One rule adds a reply: each part of the sum starts as
+zeros of d rows (0.0 + v is v, but for v = -0.0, which reads +0.0), a
+part with d rows is added whole and any other at the rows shard.cols of
+its agent's column span. Replies are summed in ascending agent-id order
+no matter how the shard list is arranged, so shard order never changes
 a single bit of the result. Replies are not checked for inf or nan:
 each one reaches the server's next iterate, which the runner checks.
 
@@ -160,9 +163,10 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
     agent_fn(broadcast, shard, agent_state) -> (reply tuple of arrays, new agent_state)
     server_fn(aggregate tuple) -> new server state
 
-    A reply part may cover only the rows shard.cols of a full-width
-    (n_cols leading) array; it is added at those rows, and rows outside
-    every such span stay zero in the aggregate.
+    Each part of the aggregate is np.zeros((d,) + shape[1:]) of the first
+    reply's part, d the shards' column count. A part with d rows is added
+    whole; any other holds rows shard.cols of a d-row reply and is added
+    at those rows, so rows outside every such span stay zero.
 
     agent_states aligns positionally with shards (None for stateless agents).
     """
@@ -178,35 +182,24 @@ def execute_round(broadcast, shards, agent_fn, server_fn, agent_states=None):
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate agent_id in shards")
 
-    full = slice(0, shards[order[0]].A.shape[1])
-    aggregate = None
+    d = shards[order[0]].A.shape[1]
+    aggregate = []
     new_states = list(agent_states)
 
     def compute(i):
         return agent_fn(broadcast, shards[i], agent_states[i])
 
     def consume(i, out):
-        nonlocal aggregate
-        shard = shards[i]
         reply, new_states[i] = out
-        if aggregate is None:
-            aggregate = [None] * len(reply)
+        if i == order[0]:
+            aggregate.extend(np.zeros((d,) + part.shape[1:]) for part in reply)
         elif len(reply) != len(aggregate):
             raise ValueError("agents returned replies of different arity")
-        rows = shard.cols
-        # from a shard narrower than full width, a part whose leading length
-        # is the span width holds rows `rows` of the full-width reply only
-        width = None if rows == full else rows.stop - rows.start
-        for k, part in enumerate(reply):
-            acc = aggregate[k]
-            if width is not None and np.shape(part)[:1] == (width,):
-                if acc is None:
-                    acc = aggregate[k] = np.zeros((full.stop,) + np.shape(part)[1:])
-                acc[rows] += part
-            elif acc is None:
-                aggregate[k] = np.array(part, dtype=np.float64, copy=True)
-            else:
+        for acc, part in zip(aggregate, reply):
+            if len(part) == d:
                 acc += part
+            else:
+                acc[shards[i].cols] += part
 
     # the mean agent's estimated work: 2 n_i flops per float broadcast
     m = len(shards)

@@ -319,11 +319,11 @@ def run(config, dataset=None, on_iteration=None):
 
     dataset may be passed to skip rebuilding it across runs: a Dataset's
     spectrum and its cut for config.m are made on its first run and kept
-    in its prep, and each run binds the dataset's b, plus its own
-    observation noise, to that cut, so one cut, and each method's set-up
-    on it, serves every run on the same Dataset and m. A dataset that
-    dataset_name(config.dataset) does not name is a ValueError, so that
-    the trace's config re-runs it.
+    in its prep, and every run on it is handed that cut as it is (views of
+    the clean b; observation noise binds copies), so one cut, and each
+    method's set-up on it, serves every run on the same Dataset and m. A
+    dataset that dataset_name(config.dataset) does not name is a
+    ValueError, so that the trace's config re-runs it.
     on_iteration, when given, is called with (state, row) after every round.
     """
     t_start = time.perf_counter()
@@ -332,7 +332,7 @@ def run(config, dataset=None, on_iteration=None):
     params = resolve_params(config, ds.name, spectrum)
     obs_model, pnoise, noise_meta = resolve_noise(config, ds.name, ds.n_rows, d)
 
-    shards = [sh.bind(ds.b[sh.row_start:sh.row_stop]) for sh in _cut(ds, config.m)]
+    shards = _cut(ds, config.m)
     if obs_model is not None:
         shards, eta_realized = apply_observation_noise(shards, config.seed, obs_model)
         noise_meta["eta_realized_max"] = max(eta_realized)
@@ -519,19 +519,22 @@ def strict_json_text(obj):
                       allow_nan=False)
 
 
-def trace_label(trace):
-    """The config's label, else <dataset>-<method>-<noise>-s<seed>."""
-    return _cell_label(trace.config, trace.summary["dataset"])
+def trace_label(config):
+    """The stem of a config's trace files: its label, else
+    <dataset_name(dataset)>-<method>-<noise>-s<seed>, the dataset named as
+    its run's Dataset is. A spec dataset_name rejects is a ValueError."""
+    name = dataset_name(config.dataset)
+    return config.label or f"{name}-{config.method}-{config.noise}-s{config.seed}"
 
 
-def emit(trace, out_dir, basename=None):
-    """Write <basename>.csv and <basename>.json under out_dir (basename
-    defaults to trace_label); returns paths."""
+def emit(trace, out_dir):
+    """Write <label>.csv and <label>.json under out_dir, the label
+    trace_label of the trace's config; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    basename = basename or trace_label(trace)
-    csv_path = out_dir / f"{basename}.csv"
-    json_path = out_dir / f"{basename}.json"
+    label = trace_label(trace.config)
+    csv_path = out_dir / f"{label}.csv"
+    json_path = out_dir / f"{label}.json"
     csv_path.write_text(trace_csv_text(trace))
     json_path.write_text(strict_json_text(trace_json_obj(trace)))
     return csv_path, json_path
@@ -595,23 +598,6 @@ GRID_COLUMNS = ("label", "dataset", "method", "noise", "seed", "reps",
                 "iterations", "stopped", "diverged_at", "diverged_reps", "error")
 
 
-def _cell_label(cfg, dataset=None):
-    """A grid cell's label before it runs: its own, else
-    <dataset>-<method>-<noise>-s<seed> with the dataset as configured
-    unless another name is given."""
-    return cfg.label or f"{dataset or cfg.dataset}-{cfg.method}-{cfg.noise}-s{cfg.seed}"
-
-
-def _trace_basename(cfg):
-    """The name a cell's trace files would take (trace_label of its run),
-    from its config alone; None when its dataset spec is malformed, so
-    that the cell fails and writes none."""
-    try:
-        return _cell_label(cfg, dataset_name(cfg.dataset))
-    except ValueError:
-        return None
-
-
 def _drop_setup(shards, method):
     """Drop method's set-up from every shard of a cut."""
     for sh in shards:
@@ -623,30 +609,39 @@ def run_grid(configs, out_dir=None, emit_traces=True):
     summary_rows), one of each per config, the result None for a cell that
     failed (its run or writing its trace); optionally writes traces and a
     grid summary CSV. Raises ValueError, before any cell runs, when two
-    cells would write the same trace files.
+    cells would write the same trace files. A row is labelled before its
+    cell runs, by trace_label; a spec dataset_name rejects is left out of
+    that check, and its row, whose cell fails, keeps the spec as written.
 
     A dataset is loaded, and cut for each m, once: its cells share its
     spectrum and its cuts (Dataset.prep) and each method's set-up on a cut
     (Shard.prep). Each is dropped right after the last cell that uses it.
     A row's stopped and diverged_at are rep 0's; diverged_reps counts the
     reps that diverged."""
-    if out_dir is not None and emit_traces:
-        seen = {}
-        for j, label in enumerate(map(_trace_basename, configs)):
-            if label is not None and seen.setdefault(label, j) != j:
-                raise ValueError(f"runs[{seen[label]}] and runs[{j}] would write the same "
-                                 f"trace files ({label!r}); give them distinct labels")
+    labels = []  # trace_label of each cell, None where its spec is malformed
     last = {}  # dataset, (dataset, m), (dataset, m, method) -> its last cell
     for j, cfg in enumerate(configs):
         key = (cfg.dataset, cfg.data_dir)
         last[key] = last[key, cfg.m] = last[key, cfg.m, cfg.method] = j
+        try:
+            labels.append(trace_label(cfg))
+        except ValueError:
+            labels.append(None)
+    if out_dir is not None and emit_traces:
+        seen = {}
+        for j, label in enumerate(labels):
+            if label is not None and seen.setdefault(label, j) != j:
+                raise ValueError(f"runs[{seen[label]}] and runs[{j}] would write the same "
+                                 f"trace files ({label!r}); give them distinct labels")
     results = []
     summary_rows = []
     problems = {}  # dataset -> Dataset
     for j, cfg in enumerate(configs):
         row = {c: "" for c in GRID_COLUMNS}
-        row.update(label=_cell_label(cfg), dataset=cfg.dataset,
-                   method=cfg.method, noise=cfg.noise, seed=cfg.seed, reps=cfg.reps)
+        row.update(label=labels[j] or cfg.label
+                   or f"{cfg.dataset}-{cfg.method}-{cfg.noise}-s{cfg.seed}",
+                   dataset=cfg.dataset, method=cfg.method, noise=cfg.noise, seed=cfg.seed,
+                   reps=cfg.reps)
         key = (cfg.dataset, cfg.data_dir)
         try:
             if key not in problems:
@@ -654,7 +649,6 @@ def run_grid(configs, out_dir=None, emit_traces=True):
             mc = run_monte_carlo(cfg, problems[key])
             first = mc.first_trace
             row.update(
-                label=trace_label(first),
                 final_err=first.final_err,
                 final_err_mean=mc.mean,
                 final_err_std=mc.std,

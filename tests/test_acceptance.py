@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, dataset_available
+from oracles import reassemble
 
 from dlsq import (
     REGISTRY,
@@ -32,7 +33,6 @@ from dlsq import (
     process_asymptote,
     process_error_bound,
     process_gates,
-    reassemble,
     rep_seed,
     richardson_rate,
     run,

@@ -106,8 +106,8 @@ def test_grid_names_each_failed_cell(tmp_path, capsys):
     }))
     assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
-    assert "nosuch.mtx-gd-none-s0: ERROR FileNotFoundError" in out
-    assert "nosuch.mtx-ipg-none-s0: ERROR FileNotFoundError" in out
+    assert "nosuch-gd-none-s0: ERROR FileNotFoundError" in out
+    assert "nosuch-ipg-none-s0: ERROR FileNotFoundError" in out
 
 
 def test_run_flag_defaults_are_run_config_defaults():

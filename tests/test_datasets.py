@@ -18,9 +18,9 @@ from dlsq.datasets import (
     make_shards,
     parse_matrix_market,
     partition_rows,
-    reassemble,
     synthesize_problem,
 )
+from oracles import reassemble
 
 
 def mm(text):

@@ -388,7 +388,7 @@ def test_monte_carlo_rep_is_a_single_run_at_its_seed(seed, rep, method, noise):
 ])
 @pytest.mark.parametrize("method", METHODS)
 def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
-    config = cfg(method=method, seed=5, **noise)
+    config = cfg(method=method, seed=5, label="t", **noise)
     # numpy scalars pass RunConfig and are kept as built-in int and float
     numeric = {f: v for f, v in asdict(config).items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)}
@@ -397,7 +397,7 @@ def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
     assert all(type(getattr(as_numpy, f)) is type(v) for f, v in numeric.items())
     for c in (config, as_numpy):
         trace = run(c)
-        csv_path, json_path = emit(trace, tmp_path, basename="t")
+        csv_path, json_path = emit(trace, tmp_path)
         back = parse_trace(json_path)
         assert back.config == trace.config
         assert back.params == trace.params
@@ -412,10 +412,10 @@ def test_trace_emit_parse_roundtrip_json(tmp_path, method, noise):
 def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
     # the first gd step with alpha = 1e308 overflows: err and step_delta are inf
     with pytest.warns(RuntimeWarning, match="overflow"):
-        trace = run(cfg(method="gd", alpha=1e308))
+        trace = run(cfg(method="gd", alpha=1e308, label="t"))
     assert trace.summary["stopped"] == "diverged"
     assert trace.rows[1].err == np.inf and trace.rows[1].step_delta == np.inf
-    csv_path, json_path = emit(trace, tmp_path, basename="t")
+    csv_path, json_path = emit(trace, tmp_path)
 
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")
@@ -427,8 +427,8 @@ def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
 
 def test_parse_trace_restores_non_finite_summary_and_params(tmp_path):
     with pytest.warns(RuntimeWarning, match="overflow"):
-        trace = run(cfg(method="gd", alpha=1e308, seed=3))
-    _, json_path = emit(trace, tmp_path, basename="t")
+        trace = run(cfg(method="gd", alpha=1e308, seed=3, label="t"))
+    _, json_path = emit(trace, tmp_path)
     back = parse_trace(json_path)
     assert back.summary["final_err"] == np.inf
     assert back.summary == json.loads(json.dumps(trace.summary))
@@ -439,8 +439,8 @@ def test_parse_trace_restores_non_finite_summary_and_params(tmp_path):
 
 
 def test_trace_emit_parse_roundtrip_csv(tmp_path):
-    trace = run(cfg(method="nag", seed=2))
-    csv_path, _ = emit(trace, tmp_path, basename="t")
+    trace = run(cfg(method="nag", seed=2, label="t"))
+    csv_path, _ = emit(trace, tmp_path)
     back = parse_trace(csv_path)
     assert back.rows == trace.rows
 
@@ -659,6 +659,56 @@ def test_noisy_runs_leave_the_held_cut_clean():
     assert ds.prep["cut", c.m] is held
 
 
+def test_a_run_is_handed_the_held_cut_as_it_is(monkeypatch):
+    # the cut's shards already hold views of the clean b: a run hands them
+    # to the round loop as they are, and observation noise binds copies
+    handed = []
+    real = runner.rounds
+    monkeypatch.setattr(runner, "rounds",
+                        lambda solver, shards, *args: handed.append(shards)
+                        or real(solver, shards, *args))
+    ds = load_dataset(SPEC)
+    for noise, kept in (({}, True), ({"noise": "process", "process_kind": "roundoff"}, True),
+                        ({"noise": "observation", "noise_level": 0.05}, False)):
+        c = cfg(max_iters=30, stop_tol=0.0, **noise)
+        handed.clear()
+        text = trace_csv_text(run(c, dataset=ds))
+        (shards,) = handed
+        held = ds.prep["cut", c.m]
+        if kept:
+            assert len(shards) == len(held) and all(a is b for a, b in zip(shards, held))
+        else:
+            assert not {id(sh) for sh in shards} & {id(sh) for sh in held}
+        assert text == trace_csv_text(run(c))
+
+
+def test_grid_rows_are_labelled_by_the_stem_of_their_trace_files(tmp_path, monkeypatch):
+    written = []
+    real = runner.emit
+
+    def noted(trace, out_dir):
+        written.append(real(trace, out_dir))
+        return written[-1]
+
+    monkeypatch.setattr(runner, "emit", noted)
+    mtx = tmp_path / "x.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n")
+    out = tmp_path / "out"
+    # a malformed spec fails in its cell under its spec as written, or its
+    # own label, and is left out of the check for clashing trace files
+    configs = [cfg(method="gd", max_iters=5), cfg(dataset=str(mtx), method="gd", m=2, max_iters=5),
+               cfg(method="gd", max_iters=5, label="mine"), cfg(dataset="stencil:3", method="gd"),
+               cfg(dataset="stencil:3", method="gd", label="mine")]
+    _, rows = run_grid(configs, out_dir=out)
+    ok = [row["label"] for row in rows if not row["error"]]
+    assert ok == ["synth-60x10-c4-s3-gd-none-s0", "x-gd-none-s0", "mine"]
+    assert ok == [csv.stem for csv, _ in written] == [js.stem for _, js in written]
+    assert [(row["label"], row["error"][:10]) for row in rows if row["error"]] == [
+        ("stencil:3-gd-none-s0", "ValueError"), ("mine", "ValueError")]
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        ["grid_summary.csv"] + [f"{label}.{ext}" for label in ok for ext in ("csv", "json")])
+
+
 def test_dataset_a_is_read_only_and_a_replaced_a_has_its_own_spectrum(monkeypatch):
     ds = load_dataset(SPEC)
     with pytest.raises(ValueError, match="read-only"):
@@ -830,8 +880,7 @@ def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):
                cfg(dataset="nosuch.mtx", label="mine")]
     results, rows = run_grid(configs, out_dir=tmp_path)
     assert results == [None] * 3
-    assert [row["label"] for row in rows] == ["nosuch.mtx-gd-none-s0", "nosuch.mtx-ipg-none-s2",
-                                              "mine"]
+    assert [row["label"] for row in rows] == ["nosuch-gd-none-s0", "nosuch-ipg-none-s2", "mine"]
     summary = (tmp_path / "grid_summary.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in summary[1:]] == [row["label"] for row in rows]
 
