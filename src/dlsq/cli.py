@@ -42,7 +42,7 @@ from .runner import (
     run_grid,
     run_monte_carlo,
     strict_json_text,
-    trace_csv_text,
+    write_pair,
 )
 
 FLAG_HELP = {
@@ -213,15 +213,9 @@ def cmd_bounds(args):
         if row.bound_t1 is not None:
             err = row.bound_t1
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = args.label or f"bounds-{ds.name}-{config.noise}"
-    csv_path = out_dir / f"{base}.csv"
-    csv_path.write_text(trace_csv_text(RunTrace(config, params, rows, report)))
-    json_path = out_dir / f"{base}.json"
-    text = strict_json_text(report)
-    json_path.write_text(text + "\n")
-    print(text)
+    csv_path, json_path = write_pair(args.out, args.label or f"bounds-{ds.name}-{config.noise}",
+                                     RunTrace(config, params, rows, report), report)
+    print(strict_json_text(report))
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

@@ -56,6 +56,14 @@ class Dataset:
 
     def __post_init__(self):
         A = np.ascontiguousarray(self.A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError(f"A must be 2-D, got shape {A.shape}")
+        # a b or x_star of another length runs silently wrong, or fails deep in numpy
+        for name, n in (("b", A.shape[0]), ("x_star", A.shape[1])):
+            shape = np.shape(getattr(self, name))
+            if shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},) to match A's {A.shape}, "
+                                 f"got {shape}")
         if A.flags.writeable:  # a read-only A (replace's) is kept as it is
             A = A.view()
             A.flags.writeable = False
@@ -155,23 +163,39 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DatasetInfo:
+    """A named problem file's record: its shape, a fetch URL for the README
+    and error messages, and the conventions it is run with. params holds
+    each method's reference step/momentum parameters, and process_high the
+    high end of a one-sided uniform process-noise range for the methods it
+    names (apc, bfgs: round-off would be a no-op relative to their much
+    smaller step granularity); every other method runs under round-off."""
+
     shape: tuple
     observation_half_width: float
     url: str
+    params: dict
+    process_high: dict
 
 
-# Known problem files, with the observation-noise half-width conventionally
-# used with each and a fetch URL for the README / error messages.
+# Known problem files; each record is the one home of its conventions.
 REGISTRY = {
     "ash608": DatasetInfo(
         shape=(608, 188),
         observation_half_width=0.25,
         url="https://sparse.tamu.edu/MM/HB/ash608.tar.gz",
+        params={"ipg": {"alpha": 0.1163, "delta": 1.0}, "gd": {"alpha": 0.1163},
+                "nag": {"alpha": 0.08, "beta": 0.5}, "hbm": {"alpha": 0.15, "beta": 0.29},
+                "apc": {"gamma": 1.02, "eta_apc": 5.27}, "bfgs": {}},
+        process_high={"apc": 5e-5, "bfgs": 9e-5},
     ),
     "gr_30_30": DatasetInfo(
         shape=(900, 900),
         observation_half_width=0.15,
         url="https://sparse.tamu.edu/MM/HB/gr_30_30.tar.gz",
+        params={"ipg": {"alpha": 0.014, "delta": 1.0}, "gd": {"alpha": 0.014},
+                "nag": {"alpha": 0.009, "beta": 0.99}, "hbm": {"alpha": 0.03, "beta": 0.98},
+                "apc": {"gamma": 1.09, "eta_apc": 12.8}, "bfgs": {}},
+        process_high={"apc": 5e-5, "bfgs": 2e-6},
     ),
 }
 

@@ -3,8 +3,9 @@
 A run is fully determined by its RunConfig (seed included) and its BLAS:
 two runs with equal configs emit byte-identical CSV traces only on one
 BLAS kernel at one BLAS thread count. dlsq pins neither (perfbench and
-tools/golden.py pin one thread). The JSON mirror adds metadata that may
-legitimately vary (wall time, version).
+tools/golden.py pin one thread). The JSON beside the CSV holds the config,
+parameters and summary, whose metadata may legitimately vary (wall time,
+version); the rows are in the CSV alone.
 """
 from __future__ import annotations
 
@@ -89,33 +90,6 @@ RANGES = {"seed": (0, 2**64 - 1), "m": (1, None), "reps": (1, None), "stop_windo
 # what a field of each annotated type admits (never a bool), as an error names it
 _ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
            str: (str, "a string")}
-
-# Reference step/momentum parameters for the two named datasets.
-DEFAULT_PARAMS = {
-    ("ash608", "ipg"): {"alpha": 0.1163, "delta": 1.0},
-    ("ash608", "gd"): {"alpha": 0.1163},
-    ("ash608", "nag"): {"alpha": 0.08, "beta": 0.5},
-    ("ash608", "hbm"): {"alpha": 0.15, "beta": 0.29},
-    ("ash608", "apc"): {"gamma": 1.02, "eta_apc": 5.27},
-    ("ash608", "bfgs"): {},
-    ("gr_30_30", "ipg"): {"alpha": 0.014, "delta": 1.0},
-    ("gr_30_30", "gd"): {"alpha": 0.014},
-    ("gr_30_30", "nag"): {"alpha": 0.009, "beta": 0.99},
-    ("gr_30_30", "hbm"): {"alpha": 0.03, "beta": 0.98},
-    ("gr_30_30", "apc"): {"gamma": 1.09, "eta_apc": 12.8},
-    ("gr_30_30", "bfgs"): {},
-}
-
-# Per-dataset process-noise conventions: the high end of a one-sided
-# uniform range for apc/bfgs (round-off would be a no-op relative to their
-# much smaller step granularity); every other pair is round-off.
-DEFAULT_PROCESS = {
-    ("ash608", "apc"): 5e-5,
-    ("ash608", "bfgs"): 9e-5,
-    ("gr_30_30", "apc"): 5e-5,
-    ("gr_30_30", "bfgs"): 2e-6,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -204,9 +178,10 @@ class RunTrace:
 
 def resolve_params(config, dataset_name, spectrum):
     """Fill method parameters: explicit config values win, then the named
-    dataset defaults, then spectral formulas for synthetic problems."""
+    dataset's REGISTRY record, then spectral formulas for other problems."""
     method = config.method
-    out = dict(DEFAULT_PARAMS.get((dataset_name, method), {}))
+    info = REGISTRY.get(dataset_name)
+    out = dict(info.params.get(method, {})) if info else {}
 
     lam1, lamd = spectrum.lambda_1, spectrum.lambda_d
     kappa = lam1 / lamd
@@ -241,10 +216,10 @@ def resolve_noise(config, dataset_name, n_rows, d):
     if config.noise == "none":
         return None, NoProcessNoise(), meta
 
+    info = REGISTRY.get(dataset_name)
     if config.noise == "observation":
         a = config.noise_level
         if a is None:
-            info = REGISTRY.get(dataset_name)
             if info is None:
                 raise ValueError(
                     "observation noise on a non-registry dataset needs an explicit noise_level"
@@ -259,7 +234,7 @@ def resolve_noise(config, dataset_name, n_rows, d):
     kind = config.process_kind
     level = config.noise_level
     if kind is None:
-        high = DEFAULT_PROCESS.get((dataset_name, config.method))
+        high = info.process_high.get(config.method) if info else None
         kind = "roundoff" if high is None else "uniform"
         level = high if level is None else level
     if kind == "roundoff":
@@ -484,13 +459,12 @@ def trace_csv_text(trace):
 
 
 def trace_json_obj(trace):
+    """The JSON half of a trace's files; its rows are in the CSV."""
     return {
         "config": asdict(trace.config),
         "params": {k: (float(v) if isinstance(v, (int, float)) else v)
                    for k, v in trace.params.items()},
         "summary": trace.summary,
-        "columns": list(CSV_COLUMNS),
-        "rows": [[getattr(r, c) for c in CSV_COLUMNS] for r in trace.rows],
     }
 
 
@@ -527,17 +501,21 @@ def trace_label(config):
     return config.label or f"{name}-{config.method}-{config.noise}-s{config.seed}"
 
 
+def write_pair(out_dir, label, trace, obj):
+    """Write trace's rows to <label>.csv and obj as strict JSON to
+    <label>.json under out_dir; returns their paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out_dir / f"{label}.csv", out_dir / f"{label}.json"
+    csv_path.write_text(trace_csv_text(trace))
+    json_path.write_text(strict_json_text(obj) + "\n")
+    return csv_path, json_path
+
+
 def emit(trace, out_dir):
     """Write <label>.csv and <label>.json under out_dir, the label
     trace_label of the trace's config; returns paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    label = trace_label(trace.config)
-    csv_path = out_dir / f"{label}.csv"
-    json_path = out_dir / f"{label}.json"
-    csv_path.write_text(trace_csv_text(trace))
-    json_path.write_text(strict_json_text(trace_json_obj(trace)))
-    return csv_path, json_path
+    return write_pair(out_dir, trace_label(trace.config), trace, trace_json_obj(trace))
 
 
 def _parse_cell(col, s):
@@ -549,26 +527,25 @@ def _parse_cell(col, s):
 
 
 def parse_trace(path):
-    """Read back an emitted trace. JSON restores config/params/summary,
-    non-finite floats included; CSV restores the rows alone."""
+    """Read back an emitted trace. A CSV restores the rows alone; a JSON
+    restores config, params and summary, non-finite floats included, and
+    the rows from the CSV beside it, which must be there."""
     path = Path(path)
-    if path.suffix == ".json":
-        obj = json.loads(path.read_text())
-        rows = [TraceRow(**dict(zip(obj["columns"], vals)))
-                for vals in _map_leaves(obj["rows"], _text_as_non_finite)]
-        # the dataset name stays text even when its file is called inf.mtx
-        summary = {k: v if k == "dataset" else _map_leaves(v, _text_as_non_finite)
-                   for k, v in obj["summary"].items()}
-        return RunTrace(config=RunConfig.from_dict(obj["config"]),
-                        params=_map_leaves(obj["params"], _text_as_non_finite),
-                        rows=rows, summary=summary)
-    text = path.read_text().splitlines()
-    header = text[0].split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected columns {header}")
+    text = (path.with_suffix(".csv") if path.suffix == ".json" else path).read_text()
+    header, *lines = text.splitlines()
+    if header != ",".join(CSV_COLUMNS):
+        raise ValueError(f"unexpected columns {header.split(',')}")
     rows = [TraceRow(**{c: _parse_cell(c, s) for c, s in zip(CSV_COLUMNS, line.split(","))})
-            for line in text[1:]]
-    return RunTrace(config=None, params=None, rows=rows, summary=None)
+            for line in lines]
+    if path.suffix != ".json":
+        return RunTrace(config=None, params=None, rows=rows, summary=None)
+    obj = json.loads(path.read_text())
+    # the dataset name stays text even when its file is called inf.mtx
+    summary = {k: v if k == "dataset" else _map_leaves(v, _text_as_non_finite)
+               for k, v in obj["summary"].items()}
+    return RunTrace(config=RunConfig.from_dict(obj["config"]),
+                    params=_map_leaves(obj["params"], _text_as_non_finite),
+                    rows=rows, summary=summary)
 
 
 # -- grids ------------------------------------------------------------------

@@ -25,7 +25,20 @@ def test_run_writes_trace_files(tmp_path, capsys):
     assert csvs[0].read_text().startswith("t,err,step_delta,")
     meta = json.loads(jsons[0].read_text())
     assert meta["config"]["seed"] == 11
-    assert meta["summary"]["final_err"] == meta["rows"][-1][1]
+    # the rows live in the CSV alone
+    assert meta["summary"]["final_err"] == float(csvs[0].read_text().splitlines()[-1].split(",")[1])
+
+
+def test_every_json_written_ends_in_one_newline(tmp_path):
+    out = str(tmp_path)
+    assert main(["run", "--dataset", SPEC, "--method", "gd", "--m", "5", "--label", "r",
+                 "--out", out]) == 0
+    assert main(["bounds", "--dataset", SPEC, "--noise-level", "0.05", "--m", "5",
+                 "--horizon", "3", "--label", "b", "--out", out]) == 0
+    assert main(["spectrum", "--dataset", SPEC, "--out", str(tmp_path / "s.json")]) == 0
+    for name in ("r", "b", "s"):
+        text = (tmp_path / f"{name}.json").read_text()
+        assert text.endswith("}\n"), name
 
 
 def test_run_reports_monte_carlo_stats(tmp_path, capsys):

@@ -349,6 +349,21 @@ def test_shard_column_spans():
     assert make_shards(zero_tail, 2)[1].cols == slice(0, 0)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("A", dict(A=np.ones(8), b=np.ones(8))),
+    ("b", dict(b=np.ones(5))),
+    ("b", dict(b=np.ones(1))),
+    ("b", dict(b=np.ones((8, 1)))),
+    ("x_star", dict(x_star=np.ones(1))),
+])
+def test_dataset_rejects_shapes_that_disagree(field, kw):
+    # a b of 5 or an x_star of 1 against an 8x3 A ran silently wrong, and a
+    # b of 1 or of shape (8, 1) failed deep inside numpy
+    A = np.arange(24.0).reshape(8, 3)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        Dataset(name="bad", **{"A": A, "x_star": np.ones(3), "b": A @ np.ones(3), **kw})
+
+
 # -- synthesis ---------------------------------------------------------------
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from dlsq import runner, solvers
 from dlsq.analysis import estimation_error
-from dlsq.datasets import (Dataset, Shard, compute_spectrum, load_dataset, make_shards,
-                           synthesize_problem)
+from dlsq.datasets import (REGISTRY, Dataset, Shard, compute_spectrum, load_dataset,
+                           make_shards, synthesize_problem)
 from dlsq.noise import (
     STREAM_AGENT_BASE,
     STREAM_K,
@@ -26,7 +26,6 @@ from dlsq.noise import (
     UniformProcessNoise,
 )
 from dlsq.runner import (
-    DEFAULT_PARAMS,
     RunConfig,
     emit,
     load_grid_config,
@@ -69,7 +68,18 @@ def test_reference_parameter_table_verbatim():
         ("gr_30_30", "apc"): {"gamma": 1.09, "eta_apc": 12.8},
         ("gr_30_30", "bfgs"): {},
     }
-    assert DEFAULT_PARAMS == expect
+    assert {(name, method): p for name, info in REGISTRY.items()
+            for method, p in info.params.items()} == expect
+
+
+def test_registry_records_name_only_methods_and_config_fields():
+    # a misspelt method or parameter would silently fall back to the
+    # spectral defaults
+    for name, info in REGISTRY.items():
+        assert set(info.params) <= set(METHODS), name
+        assert set(info.process_high) <= set(METHODS), name
+        for method, p in info.params.items():
+            assert set(p) <= set(RunConfig.__dataclass_fields__), (name, method)
 
 
 def test_named_dataset_defaults_win_over_formulas():
@@ -421,8 +431,36 @@ def test_trace_json_is_strict_for_non_finite_rows(tmp_path):
         raise ValueError(f"non-strict JSON token {token}")
 
     obj = json.loads(json_path.read_text(), parse_constant=reject)
-    assert obj["rows"][1][1] == "inf" and obj["summary"]["final_err"] == "inf"
+    assert obj["summary"]["final_err"] == "inf"
+    # the rows are in the CSV, where round 1's err is written inf
+    assert csv_path.read_text().splitlines()[2].split(",")[1] == "inf"
     assert parse_trace(json_path).rows == parse_trace(csv_path).rows == trace.rows
+
+
+def test_trace_json_holds_config_params_and_summary_alone(tmp_path):
+    _, json_path = emit(run(cfg(method="gd", max_iters=5, label="t")), tmp_path)
+    assert set(json.loads(json_path.read_text())) == {"config", "params", "summary"}
+
+
+@pytest.mark.parametrize("kw", [dict(method="gd", alpha=1e308), dict(method="ipg")],
+                         ids=["diverged", "converging"])
+def test_parse_trace_of_the_json_reads_the_rows_from_its_csv(tmp_path, kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the diverged run overflows
+        trace = run(cfg(label="t", **kw))
+    assert trace.summary["stopped"] == ("diverged" if "alpha" in kw else "stoprule")
+    csv_path, json_path = emit(trace, tmp_path)
+    assert parse_trace(json_path).rows == parse_trace(csv_path).rows == trace.rows
+    # the CSV is the rows' one home: cut to its first row, so is the JSON's trace
+    csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:2]))
+    assert parse_trace(json_path).rows == trace.rows[:1]
+
+
+def test_parse_trace_of_a_json_without_its_csv_names_the_csv(tmp_path):
+    csv_path, json_path = emit(run(cfg(method="gd", max_iters=5, label="t")), tmp_path)
+    csv_path.unlink()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(csv_path))):
+        parse_trace(json_path)
 
 
 def test_parse_trace_restores_non_finite_summary_and_params(tmp_path):

@@ -33,23 +33,27 @@ the set and, for every trace whose hash differs, prints the largest
 absolute err gap, the largest relative gap in the bound columns, and
 whether the stop reason, round count and diverged flags match; a
 realized mean or a grid cell's final errors whose repr differs is
-printed too. ``check`` also emits every trace to a temporary directory,
-reads its config back from the JSON with ``parse_trace`` and runs that
-config again; a re-run whose CSV text differs from the trace's is
-printed. It also runs every trace's config once more on one Dataset
-object shared by all the configs that name its dataset, so that every
+printed too. ``check`` also emits every trace to a temporary directory
+and reads it back with ``parse_trace`` of the JSON: a JSON that holds
+rows, or whose rows read back from the CSV beside it are not the
+trace's, is printed, so the pair reader is checked on every trace, the
+diverging ones included. It runs the config read back from the JSON
+again; a re-run whose CSV text differs from the trace's is printed. It
+also runs every trace's config once more on one Dataset object shared
+by all the configs that name its dataset, so that every
 run on it after the first reads the spectrum the first one computed,
 every run after the first at its m reads the cut that one made, and
 every run after the first of its method on that cut reads that method's
 set-up on it; a shared re-run whose CSV text differs is printed too. It ends with one
 line: how many traces differ, the largest err and bound gaps among
 them, how many realized means differ and the largest relative gap among
-them, how many grid cells' final errors differ, how many re-runs from
-the JSON config and how many shared re-runs differ, and any stop, round
-or diverged mismatch.
+them, how many grid cells' final errors differ, how many emitted pairs
+read back other rows, how many re-runs from the JSON config and how
+many shared re-runs differ, and any stop, round or diverged mismatch.
 Then it reruns the set in a child pinned to one CPU (``--one-cpu``),
 where every round is sequential, which prints the same. It exits 0 when
-every hash, realized mean and re-run matches in both, 1 otherwise.
+every hash, realized mean, read-back and re-run matches in both, 1
+otherwise.
 
 dlsq is imported from ``--src`` (default: this checkout's ``src/``), so
 a file recorded from one checkout can be checked against another. BLAS
@@ -115,13 +119,16 @@ BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
 
 
 def _reruns(trace):
-    """Whether the config read back from trace's emitted JSON runs to the
-    same CSV text."""
+    """(Whether trace's emitted JSON holds no rows and parse_trace of it
+    reads trace's rows back from the CSV beside it, whether the config
+    read back from the JSON runs to the same CSV text)."""
     from dlsq.runner import emit, parse_trace, run, trace_csv_text
 
     with tempfile.TemporaryDirectory() as tmp:
         _, json_path = emit(trace, tmp)
-        return trace_csv_text(run(parse_trace(json_path).config)) == trace_csv_text(trace)
+        back = parse_trace(json_path)
+        pair = "rows" not in json.loads(json_path.read_text()) and back.rows == trace.rows
+        return pair, trace_csv_text(run(back.config)) == trace_csv_text(trace)
 
 
 def _reruns_shared(trace, shared):
@@ -139,15 +146,15 @@ def _reruns_shared(trace, shared):
 
 def _outputs(trace, shared, final_errs=None):
     """(trace csv text, stop reason, repr of omega_realized_mean or None,
-    repr of the final errors as a list or None, whether it _reruns,
-    whether it _reruns_shared)."""
+    repr of the final errors as a list or None, the two verdicts of
+    _reruns, whether it _reruns_shared)."""
     from dlsq.runner import trace_csv_text
 
     realized = trace.summary["noise"].get("omega_realized_mean")
     return (trace_csv_text(trace), trace.summary["stopped"],
             None if realized is None else repr(realized),
             None if final_errs is None else repr([float(e) for e in final_errs]),
-            _reruns(trace), _reruns_shared(trace, shared))
+            *_reruns(trace), _reruns_shared(trace, shared))
 
 
 def _run(config, shared):
@@ -171,8 +178,8 @@ def _write_mtx(path, A, form):
 
 def golden_runs():
     """Yield (key, trace csv text, stop reason, repr of omega_realized_mean
-    or None, repr of a grid cell's final errors or None, whether the trace
-    _reruns, whether it _reruns_shared) for every run of the set."""
+    or None, repr of a grid cell's final errors or None, the two verdicts
+    of _reruns, whether it _reruns_shared) for every run of the set."""
     from dlsq.datasets import load_dataset
     from dlsq.runner import RunConfig, run_grid
     from dlsq.solvers import METHODS
@@ -266,9 +273,12 @@ def compare(want, got_text, got_stopped):
 
 def check(recorded):
     gaps, realized_gaps, finals_differ, missing, runs = [], [], 0, 0, 0
-    reruns_differ = shared_differ = 0
-    for key, text, stopped, realized, finals, reruns, shares in golden_runs():
+    pairs_differ = reruns_differ = shared_differ = 0
+    for key, text, stopped, realized, finals, pair, reruns, shares in golden_runs():
         runs += 1
+        if not pair:
+            pairs_differ += 1
+            print(f"{key}: its JSON holds rows, or parse_trace of it reads back other rows")
         if not reruns:
             reruns_differ += 1
             print(f"{key}: its config, read back from its JSON, re-runs to other CSV bytes")
@@ -311,13 +321,15 @@ def check(recorded):
         line += f", largest gap {max(realized_gaps):.3g} rel"
     cells = sum("final_errs" in want for want in recorded.values())
     line += f"; {finals_differ} of {cells} grid cells' final errors differ"
+    line += f"; {pairs_differ} of {runs} emitted pairs read back other rows"
     line += f"; {reruns_differ} of {runs} re-runs from the JSON config differ"
     line += f"; {shared_differ} of {runs} re-runs on a shared Dataset differ; "
     mismatches = [f"{what} {n}" for what in ("stop", "rounds", "diverged")
                   if (n := sum(not g[f"same_{what}"] for g in gaps))]
     print(line + ("mismatches: " + ", ".join(mismatches) if mismatches
                   else "every stop reason, round count and diverged flag matches"))
-    differ = gaps or realized_gaps or finals_differ or missing or reruns_differ or shared_differ
+    differ = (gaps or realized_gaps or finals_differ or missing or pairs_differ or reruns_differ
+              or shared_differ)
     return 1 if differ else 0
 
 
