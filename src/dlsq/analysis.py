@@ -39,21 +39,14 @@ def richardson_rate(alpha, lambda_1, lambda_d):
     return max(abs(1.0 - alpha * lambda_1), abs(1.0 - alpha * lambda_d))
 
 
-def bound_inputs_from(spectrum, m, d, alpha, delta, eta=0.0, omega=0.0,
-                      z0=0.0, K0=None):
-    """Assemble BoundInputs for a run started at K(0) (default zero)."""
-    if K0 is None:
-        k0_fro = spectrum.k_star_fro
-        k0_spec = spectrum.k_star_spec
-    else:
-        diff = np.asarray(K0, dtype=np.float64) - spectrum.K_star
-        k0_fro = float(np.linalg.norm(diff, "fro"))
-        k0_spec = float(np.linalg.norm(diff, 2))
+def bound_inputs_from(spectrum, m, d, alpha, delta, eta=0.0, omega=0.0, z0=0.0):
+    """Assemble BoundInputs for a run started at K(0) = 0, whose
+    K(0) - (A^T A)^-1 has K*'s own norms."""
     return BoundInputs(
         m=m, d=d, delta=delta,
         rho=richardson_rate(alpha, spectrum.lambda_1, spectrum.lambda_d),
         lambda_1=spectrum.lambda_1, lambda_d=spectrum.lambda_d,
-        eta=eta, omega=omega, k0_fro=k0_fro, k0_spec=k0_spec, z0=z0,
+        eta=eta, omega=omega, k0_fro=spectrum.k_star_fro, k0_spec=spectrum.k_star_spec, z0=z0,
     )
 
 

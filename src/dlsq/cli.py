@@ -27,7 +27,7 @@ from .analysis import (
     process_factor_limit,
     process_gates,
 )
-from .datasets import compute_spectrum, load_dataset
+from .datasets import compute_spectrum, load_dataset, partition_rows
 from .runner import (
     CHOICES,
     FIELD_TYPES,
@@ -155,6 +155,7 @@ def cmd_bounds(args):
     ds = load_dataset(config.dataset, config.data_dir)
     d = ds.n_cols
     sp = compute_spectrum(ds.A)
+    partition_rows(ds.n_rows, config.m)  # every agent holds a row, as in `dlsq run`
 
     params = resolve_params(config, ds.name, sp)
     alpha, delta = params["alpha"], params["delta"]

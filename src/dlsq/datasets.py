@@ -2,7 +2,7 @@
 
 Covers Matrix Market parsing, synthetic regression problems, contiguous
 row sharding across agents, and the spectral quantities every run needs
-(the eigenvalues of A^T A; its inverse only when a caller reads it).
+(the eigenvalues of A^T A; never its inverse).
 
 Named datasets are read from a local directory; they are never fetched
 over the network. Directory resolution order: explicit argument, the
@@ -14,7 +14,6 @@ import copy
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +120,10 @@ class Shard:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The eigenvalues of A^T A, ascending, and the A they were computed
-    from, as given. Its inverse K_star is solved from A when it is first
-    read; a run reads only its norms, which the eigenvalues give."""
+    """The eigenvalues of A^T A, ascending. A run reads its inverse K*
+    only through K*'s norms, which the eigenvalues give."""
 
     eigenvalues: np.ndarray
-    A: np.ndarray = field(repr=False)
 
     @property
     def lambda_1(self):
@@ -151,14 +148,8 @@ class Spectrum:
 
     @property
     def k_star_fro(self):
-        # K_star's eigenvalues are 1 / lambda_i
+        # K*'s eigenvalues are 1 / lambda_i
         return float(np.linalg.norm(1.0 / self.eigenvalues))
-
-    @cached_property
-    def K_star(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        H = A.T @ A
-        return np.linalg.solve(H, np.eye(H.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -429,7 +420,7 @@ def load_dataset(name_or_path, data_dir=None):
     if s in REGISTRY:
         info = REGISTRY[s]
         path = dataset_path(s, data_dir)
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(
                 f"{path} not found; place the Matrix Market file there "
                 f"(source: {info.url})"
@@ -439,7 +430,7 @@ def load_dataset(name_or_path, data_dir=None):
             raise ValueError(f"{s}: expected shape {info.shape}, file has {A.shape}")
     else:
         path = Path(s)
-        if not path.exists():
+        if not path.is_file():
             raise FileNotFoundError(f"no such dataset or file: {s}")
         A = parse_matrix_market(path)
 
@@ -505,4 +496,4 @@ def compute_spectrum(A):
             f"A^T A numerically singular: lambda_d={lambda_d:.3e}, "
             f"lambda_1={lambda_1:.3e}"
         )
-    return Spectrum(eigenvalues=eigenvalues, A=A)
+    return Spectrum(eigenvalues=eigenvalues)

@@ -520,23 +520,38 @@ def emit(trace, out_dir):
 
 def _parse_cell(col, s):
     if col == "diverged":
+        if s not in ("0", "1"):
+            raise ValueError(f"diverged must be 0 or 1, got {s!r}")
         return s == "1"
     if s == "":
         return None
     return int(s) if col == "t" else float(s)
 
 
+def _parse_row(line):
+    cells = line.split(",")
+    if len(cells) != len(CSV_COLUMNS):
+        raise ValueError(f"{len(cells)} fields, the header has {len(CSV_COLUMNS)}")
+    return TraceRow(**{c: _parse_cell(c, s) for c, s in zip(CSV_COLUMNS, cells)})
+
+
 def parse_trace(path):
     """Read back an emitted trace. A CSV restores the rows alone; a JSON
     restores config, params and summary, non-finite floats included, and
-    the rows from the CSV beside it, which must be there."""
+    the rows from the CSV beside it, which must be there. A row whose
+    field count is not the header's, or whose diverged cell is not 0 or
+    1, is a ValueError naming its 1-based line."""
     path = Path(path)
-    text = (path.with_suffix(".csv") if path.suffix == ".json" else path).read_text()
-    header, *lines = text.splitlines()
+    csv_path = path.with_suffix(".csv") if path.suffix == ".json" else path
+    header, *lines = csv_path.read_text().splitlines()
     if header != ",".join(CSV_COLUMNS):
         raise ValueError(f"unexpected columns {header.split(',')}")
-    rows = [TraceRow(**{c: _parse_cell(c, s) for c, s in zip(CSV_COLUMNS, line.split(","))})
-            for line in lines]
+    rows = []
+    for n, line in enumerate(lines, start=2):
+        try:
+            rows.append(_parse_row(line))
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: line {n}: {exc}") from None
     if path.suffix != ".json":
         return RunTrace(config=None, params=None, rows=rows, summary=None)
     obj = json.loads(path.read_text())

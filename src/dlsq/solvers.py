@@ -183,20 +183,16 @@ class IPGState:
 
 
 class IPGSolver:
-    """Preconditioned gradient descent with the iteratively refined K.
+    """Preconditioned gradient descent with the iteratively refined K,
+    started from x = 0 and K = 0 before round 0's process noise."""
 
-    alpha = 0 keeps K at K0 bit for bit (K - 0 R = K); with K0 = I and
-    delta equal to gd's step this reproduces gd exactly, which the tests rely on.
-    """
-
-    def __init__(self, alpha, delta, K0=None):
+    def __init__(self, alpha, delta):
         self.alpha = float(alpha)
         self.delta = float(delta)
-        self.K0 = K0
 
     def init_state(self, shards, d, pnoise):
         x = np.zeros(d)
-        K = np.zeros((d, d)) if self.K0 is None else np.array(self.K0, dtype=np.float64)
+        K = np.zeros((d, d))
         pnoise.corrupt(x, STREAM_X, 0)
         pnoise.corrupt(K, STREAM_K, 0)
         return IPGState(x=x, K=K, left_out=left_out_diagonal(shards, d))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, dataset_available
-from oracles import reassemble
+from oracles import IPGFrom, k_star, reassemble
 
 from dlsq import (
     REGISTRY,
@@ -39,7 +39,7 @@ from dlsq import (
     run_monte_carlo,
 )
 from dlsq.runner import trace_csv_text, trace_json_obj
-from dlsq.solvers import METHODS, IPGSolver, agent_gradient, make_solver, run_rounds
+from dlsq.solvers import METHODS, agent_gradient, make_solver, run_rounds
 
 BOTH = ("ash608", "gr_30_30")
 
@@ -75,13 +75,14 @@ def test_c1_noise_free_convergence():
     for ds in datasets:
         t0 = time.perf_counter()
         sp = compute_spectrum(ds.A)
+        K_star = k_star(ds.A)
         for method in METHODS:
             cfg = RunConfig(dataset=ds.name, method=method)
             k_gap = []
             hook = None
             if method == "ipg":
                 hook = lambda state, row: k_gap.append(
-                    float(np.linalg.norm(state.K - sp.K_star, "fro")))
+                    float(np.linalg.norm(state.K - K_star, "fro")))
             trace = run(cfg, dataset=ds, on_iteration=hook)
             tag = f"{ds.name}/{method}"
             if trace.summary["stopped"] != "stoprule":
@@ -262,7 +263,7 @@ def test_c6_structural_identities():
     xs_gd, xs_ipg = [], []
     run_rounds(make_solver("gd", {"alpha": step}), shards, d, 1000,
                collect=lambda s, t: xs_gd.append(s.x.copy()))
-    run_rounds(IPGSolver(alpha=0.0, delta=step, K0=np.eye(d)),
+    run_rounds(IPGFrom(alpha=0.0, delta=step, K0=np.eye(d)),
                shards, d, 1000,
                collect=lambda s, t: xs_ipg.append(s.x.copy()))
     if not all(np.array_equal(a, b) for a, b in zip(xs_gd, xs_ipg)):
@@ -330,12 +331,13 @@ def test_c7_inverse_gram_identities():
     for ds in datasets:
         sp = compute_spectrum(ds.A)
         d = ds.A.shape[1]
-        resid = np.linalg.norm(sp.K_star @ (ds.A.T @ ds.A) - np.eye(d), "fro")
+        K_star = k_star(ds.A)
+        resid = np.linalg.norm(K_star @ (ds.A.T @ ds.A) - np.eye(d), "fro")
         notes.append(f"{ds.name} resid {resid:.1e}")
         if resid > 1e-8 * d:
             failures.append(f"{ds.name}: inversion residual {resid:.2e} > 1e-8*d")
         want = 1.0 / math.sqrt(sp.lambda_d)
-        got = np.linalg.norm(sp.K_star @ ds.A.T, 2)
+        got = np.linalg.norm(K_star @ ds.A.T, 2)
         if abs(got - want) > 1e-6 * want:
             failures.append(f"{ds.name}: |K* A^T| = {got:.8g}, want {want:.8g}")
     detail = "; ".join(failures) if failures else ", ".join(notes)

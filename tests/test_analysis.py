@@ -23,6 +23,7 @@ from dlsq.analysis import (
     richardson_rate,
 )
 from dlsq.datasets import compute_spectrum, synthesize_problem
+from oracles import k_star
 from dlsq.runner import bound_columns
 
 
@@ -49,20 +50,10 @@ def test_bound_inputs_default_initial_preconditioner():
     sp = compute_spectrum(ds.A)
     bi = bound_inputs_from(sp, m=5, d=6, alpha=0.2, delta=1.0, eta=0.1,
                            omega=0.0, z0=1.0)
-    # K(0) = 0, so the initial deviation is K_star itself
-    assert bi.k0_fro == pytest.approx(np.linalg.norm(sp.K_star, "fro"))
+    # K(0) = 0, so the initial deviation is K* itself
+    assert bi.k0_fro == pytest.approx(np.linalg.norm(k_star(ds.A), "fro"))
     assert bi.k0_spec == pytest.approx(1.0 / sp.lambda_d)
     assert bi.rho == pytest.approx(richardson_rate(0.2, sp.lambda_1, sp.lambda_d))
-
-
-def test_bound_inputs_explicit_initial_preconditioner():
-    ds = synthesize_problem(40, 6, cond=9.0, seed=2)
-    sp = compute_spectrum(ds.A)
-    K0 = np.eye(6)
-    bi = bound_inputs_from(sp, m=5, d=6, alpha=0.2, delta=1.0, K0=K0)
-    dev = K0 - sp.K_star
-    assert bi.k0_fro == pytest.approx(np.linalg.norm(dev, "fro"))
-    assert bi.k0_spec == pytest.approx(np.linalg.norm(dev, 2))
 
 
 # -- observation-noise bound --------------------------------------------------

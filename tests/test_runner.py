@@ -463,6 +463,22 @@ def test_parse_trace_of_a_json_without_its_csv_names_the_csv(tmp_path):
         parse_trace(json_path)
 
 
+@pytest.mark.parametrize("row, why", [
+    ("2,0.5", "2 fields, the header has 7"),
+    ("2,0.5,,,,,0,7,8", "9 fields, the header has 7"),
+    ("2,0.5,,,,,yes", "diverged must be 0 or 1, got 'yes'"),
+], ids=["short", "long", "diverged-yes"])
+def test_parse_trace_rejects_a_malformed_row_by_its_line(tmp_path, row, why):
+    csv_path, json_path = emit(run(cfg(method="gd", max_iters=5, label="t")), tmp_path)
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) > 3
+    lines[3] = row
+    csv_path.write_text("\n".join(lines) + "\n")
+    for path in (csv_path, json_path):
+        with pytest.raises(ValueError, match=re.escape(f"{csv_path}: line 4: {why}")):
+            parse_trace(path)
+
+
 def test_parse_trace_restores_non_finite_summary_and_params(tmp_path):
     with pytest.warns(RuntimeWarning, match="overflow"):
         trace = run(cfg(method="gd", alpha=1e308, seed=3, label="t"))
@@ -601,7 +617,7 @@ def test_grid_rejects_datasets_that_load_under_one_name(tmp_path):
 
 
 def test_runs_never_form_k_star(tmp_path, monkeypatch):
-    # a run reads K_star only through its norms, which the eigenvalues give
+    # a run reads K* only through its norms, which the eigenvalues give
     ds = load_dataset(SPEC)
     noises = ({}, {"noise": "observation", "noise_level": 0.05},
               {"noise": "process", "process_kind": "roundoff"},
@@ -620,7 +636,6 @@ def test_runs_never_form_k_star(tmp_path, monkeypatch):
     run_grid([cfg(max_iters=5, **noise) for noise in noises[1:3]], out_dir=tmp_path)
     run(cfg(max_iters=5, **noises[2]))
     assert len(made) == 2
-    assert all("K_star" not in vars(s) for s in (ds.prep["spectrum"], *made))
 
 
 def _count_spectra(monkeypatch):
@@ -921,6 +936,15 @@ def test_failed_grid_cells_are_labelled_by_method_noise_and_seed(tmp_path):
     assert [row["label"] for row in rows] == ["nosuch-gd-none-s0", "nosuch-ipg-none-s2", "mine"]
     summary = (tmp_path / "grid_summary.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in summary[1:]] == [row["label"] for row in rows]
+
+
+def test_a_grid_cell_naming_a_directory_fails_as_no_such_file(tmp_path):
+    out = tmp_path / "out"
+    _, rows = run_grid([cfg(dataset="", method="gd", label="here"),
+                        cfg(dataset=str(tmp_path), method="gd", label="dir")], out_dir=out)
+    assert [row["error"] for row in rows] == [
+        "FileNotFoundError: no such dataset or file: ",
+        f"FileNotFoundError: no such dataset or file: {tmp_path}"]
 
 
 def test_empty_grid_is_fine(tmp_path):

@@ -35,6 +35,7 @@ from dlsq.solvers import (
     rounds,
     run_rounds,
 )
+from oracles import IPGFrom, k_star
 
 
 def diag_problem():
@@ -102,8 +103,8 @@ def test_r_matrix_at_zero_preconditioner(small_problem):
 def test_r_matrix_sums_vanish_at_k_star(small_problem):
     m = 5
     shards = make_shards(small_problem, m)
-    sp = compute_spectrum(small_problem.A)
-    total = sum(agent_r_matrix(sh, sp.K_star, m) for sh in shards)
+    K_star = k_star(small_problem.A)
+    total = sum(agent_r_matrix(sh, K_star, m) for sh in shards)
     assert np.abs(total).max() <= 1e-10
 
 
@@ -467,8 +468,8 @@ def test_ipg_matches_centralized_recursion(small_problem, rng):
 
 def test_ipg_fixed_point_is_stationary(small_problem):
     ds = small_problem
-    sp = compute_spectrum(ds.A)
-    solver = IPGSolver(alpha=0.2, delta=1.0, K0=sp.K_star)
+    K_star = k_star(ds.A)
+    solver = IPGFrom(alpha=0.2, delta=1.0, K0=K_star)
     shards = make_shards(ds, 5)
     pn = NoProcessNoise()
     state = solver.init_state(shards, ds.n_cols, pn)
@@ -477,7 +478,7 @@ def test_ipg_fixed_point_is_stationary(small_problem):
     for t in range(3):
         state, agent_states = solver.step(state, shards, agent_states, pn, t)
     np.testing.assert_allclose(state.x, ds.x_star, atol=1e-9)
-    np.testing.assert_allclose(state.K, sp.K_star, atol=1e-9)
+    np.testing.assert_allclose(state.K, K_star, atol=1e-9)
 
 
 def test_one_ipg_solver_drives_interleaved_runs():
@@ -515,10 +516,11 @@ def test_preconditioner_columns_contract_at_richardson_rate(small_problem):
     pn = NoProcessNoise()
     state = solver.init_state(shards, ds.n_cols, pn)
     agent_states = solver.init_agent_states(shards)
-    prev = np.linalg.norm(state.K - sp.K_star, axis=0)
+    K_star = k_star(ds.A)
+    prev = np.linalg.norm(state.K - K_star, axis=0)
     for t in range(40):
         state, agent_states = solver.step(state, shards, agent_states, pn, t)
-        cur = np.linalg.norm(state.K - sp.K_star, axis=0)
+        cur = np.linalg.norm(state.K - K_star, axis=0)
         assert np.all(cur <= (rho + 1e-9) * prev)
         prev = cur
 
@@ -527,7 +529,7 @@ def test_gd_equals_frozen_identity_preconditioner(small_problem):
     ds = small_problem
     alpha = 0.25
     xs_gd = trajectory(("gd", {"alpha": alpha}), ds, m=5, n_rounds=60)
-    solver = IPGSolver(alpha=0.0, delta=alpha, K0=np.eye(ds.n_cols))
+    solver = IPGFrom(alpha=0.0, delta=alpha, K0=np.eye(ds.n_cols))
     shards = make_shards(ds, 5)
     xs_ipg = []
     run_rounds(solver, shards, ds.n_cols, 60,

@@ -1,4 +1,5 @@
-"""The golden gate: 123 fixed runs whose traces a change should keep.
+"""The golden gate: 123 fixed runs whose traces a change should keep,
+and 6 ``dlsq bounds`` reports.
 
     python tools/golden.py record <file> [--src DIR]
     python tools/golden.py check <file> [--src DIR] [--one-cpu]
@@ -24,7 +25,11 @@ rounds, no noise), so a change to the parser shows, plus the nine cells
 of one ``run_grid`` call (GRID: apc, gd and bfgs x none / observation
 0.05 / round-off on synth:60,10,4,3, seed 0, 300 rounds, m=10, 3 reps on
 the observation cells), whose cells share one cut of A and apc's set-up,
-so a change to what a grid shares shows. ``record`` writes, for every
+so a change to what a grid shares shows. The reports (BOUNDS) are
+``dlsq bounds`` on synth:60,10,4,3 and stencil:12,12 under none /
+observation 0.05 / process noise, horizon 50, one each; ``record`` keeps
+their CSV and JSON text and ``check`` prints each report whose bytes
+differ. ``record`` writes, for every
 run, the SHA-256 of ``trace_csv_text``, the text itself, the stop reason
 and, for a process-noise run, the repr of its ``omega_realized_mean``,
 which the CSV does not hold; for a grid cell, also the repr of its
@@ -47,13 +52,14 @@ every run after the first of its method on that cut reads that method's
 set-up on it; a shared re-run whose CSV text differs is printed too. It ends with one
 line: how many traces differ, the largest err and bound gaps among
 them, how many realized means differ and the largest relative gap among
-them, how many grid cells' final errors differ, how many emitted pairs
+them, how many grid cells' final errors differ, how many bounds reports
+differ, how many emitted pairs
 read back other rows, how many re-runs from the JSON config and how
 many shared re-runs differ, and any stop, round or diverged mismatch.
 Then it reruns the set in a child pinned to one CPU (``--one-cpu``),
 where every round is sequential, which prints the same. It exits 0 when
-every hash, realized mean, read-back and re-run matches in both, 1
-otherwise.
+every hash, realized mean, report, read-back and re-run matches in
+both, 1 otherwise.
 
 dlsq is imported from ``--src`` (default: this checkout's ``src/``), so
 a file recorded from one checkout can be checked against another. BLAS
@@ -63,7 +69,9 @@ compare files recorded on the same machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -116,6 +124,8 @@ MTX_FORMS = ("coordinate real symmetric", "array real general")
 GRID = [(method, noise) for method in ("apc", "gd", "bfgs")
         for noise in ("none", "observation", "roundoff")]
 BOUND_COLUMNS = ("bound_t1", "u_t", "bound_t2")
+BOUNDS = [(dataset, noise) for dataset in (DATASETS[0], "stencil:12,12")
+          for noise in ("none", "observation", "process")]
 
 
 def _reruns(trace):
@@ -225,15 +235,36 @@ def golden_runs():
                *_outputs(mc.first_trace, shared, mc.final_errs))
 
 
+def bounds_reports():
+    """Yield (key, CSV text, JSON text) of ``dlsq bounds`` for every pair
+    of BOUNDS, horizon 50, the observation level at half-width 0.05."""
+    from dlsq.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for dataset, noise in BOUNDS:
+            key = f"bounds:{dataset}/{noise}"
+            argv = ["bounds", "--dataset", dataset, "--noise", noise, "--horizon", "50",
+                    "--label", "b", "--out", tmp]
+            if noise == "observation":
+                argv += ["--noise-level", "0.05"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(argv) != 0:
+                    raise RuntimeError(f"{key} failed")
+            yield key, (Path(tmp) / "b.csv").read_text(), (Path(tmp) / "b.json").read_text()
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def record():
-    return {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
-                  "omega_realized_mean": realized,
-                  **({} if finals is None else {"final_errs": finals})}
-            for key, text, stopped, realized, finals, *_ in golden_runs()}
+    recorded = {key: {"sha256": _sha256(text), "csv": text, "stopped": stopped,
+                      "omega_realized_mean": realized,
+                      **({} if finals is None else {"final_errs": finals})}
+                for key, text, stopped, realized, finals, *_ in golden_runs()}
+    recorded.update({key: {"csv": csv_text, "json": json_text}
+                     for key, csv_text, json_text in bounds_reports()})
+    return recorded
 
 
 def _rows(text):
@@ -307,8 +338,21 @@ def check(recorded):
               f"stop {'same' if g['same_stop'] else 'DIFFERS'}, "
               f"rounds {'same' if g['same_rounds'] else 'DIFFER'}, "
               f"diverged {'same' if g['same_diverged'] else 'DIFFERS'}")
+    bounds_differ = 0
+    for key, csv_text, json_text in bounds_reports():
+        want = recorded.get(key)
+        if want is None:
+            print(f"{key}: not in the recorded file")
+            missing += 1
+            continue
+        files = [name for name, got in (("csv", csv_text), ("json", json_text))
+                 if got != want[name]]
+        if files:
+            bounds_differ += 1
+            print(f"{key}: its {' and '.join(files).upper()} bytes differ")
     # the one line a tolerance claim can quote
-    line = (f"{len(gaps)} of {len(recorded)} traces differ "
+    traces = sum("sha256" in want for want in recorded.values())
+    line = (f"{len(gaps)} of {traces} traces differ "
             f"({len(os.sched_getaffinity(0))} CPUs)")
     if gaps:
         line += (f", largest err gap {max(g['max_abs_err_gap'] for g in gaps):.3g}, "
@@ -321,6 +365,7 @@ def check(recorded):
         line += f", largest gap {max(realized_gaps):.3g} rel"
     cells = sum("final_errs" in want for want in recorded.values())
     line += f"; {finals_differ} of {cells} grid cells' final errors differ"
+    line += f"; {bounds_differ} of {len(recorded) - traces} bounds reports differ"
     line += f"; {pairs_differ} of {runs} emitted pairs read back other rows"
     line += f"; {reruns_differ} of {runs} re-runs from the JSON config differ"
     line += f"; {shared_differ} of {runs} re-runs on a shared Dataset differ; "
@@ -328,8 +373,8 @@ def check(recorded):
                   if (n := sum(not g[f"same_{what}"] for g in gaps))]
     print(line + ("mismatches: " + ", ".join(mismatches) if mismatches
                   else "every stop reason, round count and diverged flag matches"))
-    differ = (gaps or realized_gaps or finals_differ or missing or pairs_differ or reruns_differ
-              or shared_differ)
+    differ = (gaps or realized_gaps or finals_differ or bounds_differ or missing or pairs_differ
+              or reruns_differ or shared_differ)
     return 1 if differ else 0
 
 
